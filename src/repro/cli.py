@@ -17,6 +17,8 @@ Installed as the ``repro-fd`` console script::
     repro-fd formulas --n 16 --t 5              # every complexity claim
     repro-fd list-workloads                     # the sweep registry
     repro-fd run --workload oral --param n=7 --param t=2
+    repro-fd run --workload akd --param n=7 --param t=2 \\
+        --param adversary=6=noise               # AKD with a noisy node
     repro-fd run --workload e12-fd --param delivery=rush \\
         --param faulty=1 --trace                # dump the event log
 
@@ -294,10 +296,16 @@ def _cmd_amortize(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    from .errors import ConfigurationError
+
     bad = _validated_specs(args)
     if bad is not None:
         return bad
-    catalogue = attack_catalogue(args.n, args.t)
+    try:
+        catalogue = attack_catalogue(args.n, args.t)
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.list:
         print(
             render_table(
@@ -324,7 +332,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         seed=args.seed,
         kd_adversaries=scenario.kd_adversaries(),
         adversary=scenario.adversary(args.n, args.t),
-        faulty=scenario.faulty,
         delivery=args.delivery,
     )
     discoverers = [

@@ -1,11 +1,20 @@
 """The adversary plane: one declarative object naming a run's adversary.
 
-Before this module, "node 3 is faulty" could be said three incompatible
-ways — a hand-built :class:`~repro.sim.node.Protocol` replacement dict,
-a scenario factory closure over key material, or the agreement-based
-key-distribution ``byzantine=`` pair spec — none of which could be
-combined with a delivery power or checked against the paper's fault
-budget.  An :class:`AdversarySpec` subsumes all three:
+An :class:`AdversarySpec` is the only way to corrupt a protocol run:
+the scenario runners (:func:`repro.harness.run_fd_scenario`,
+:func:`repro.harness.run_ba_scenario`), amortized sessions and
+agreement-based key distribution
+(:func:`repro.auth.run_agreement_key_distribution`) all take it — or
+its spec string — as ``adversary=``, and the scenario runners also take
+a deferred ``(keypairs, directories) -> AdversarySpec`` factory for
+corruption that needs key material.  The faulty set every F1-F3 / BA
+evaluation subtracts is derived from what was corrupted (the spec's
+nodes, its adaptive commitments and the key-distribution adversaries),
+so a run cannot corrupt one set and be judged against another.  The one
+other corruption input is ``kd_adversaries`` of the scenario runners,
+the Byzantine behaviours of the Fig. 1 key-distribution *phase* (a
+separate run before the protocol run; the attack scenarios share
+coordination state across the two phases).  A spec names:
 
 * **who is corrupt** — ``corrupt`` pairs each node id with a
   :class:`Behavior` (or its spec string): ``silent``, ``crash@r`` /

@@ -5,12 +5,19 @@ layers in the order the paper prescribes: establish authentication (local
 key distribution or global trusted dealer), then run a Failure Discovery
 or agreement protocol on the resulting key material, then evaluate the
 F1-F3 / BA conditions.
+
+Every scenario — FD or BA, straight, checkpointed or resumed, and each
+run of an :class:`~repro.harness.session.AmortizedSession` — goes through
+one private core, :func:`_run_scenario`.  Its corruption enters through
+one input, ``adversary=``, so the faulty set the evaluation subtracts is
+always the one the adversary actually corrupted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import Any
 
 from ..agreement import (
     BAEvaluation,
@@ -47,18 +54,12 @@ from ..sim import (
     capture_kernel,
     make_delivery,
     retune_protocols,
-    run_protocols,
 )
 from ..types import NodeId
 
 #: Authentication modes: the paper's new mechanism vs the classic baseline.
 LOCAL = "local"
 GLOBAL = "global"
-
-# Given the authentication outputs, build the faulty nodes' behaviours.
-AdversaryFactory = Callable[
-    [dict[NodeId, KeyPair], dict[NodeId, KeyDirectory]], dict[NodeId, Protocol]
-]
 
 #: The ``adversary=`` parameter of the scenario runners: a spec string, a
 #: ready :class:`~repro.faults.AdversarySpec`, or a deferred factory
@@ -124,33 +125,27 @@ def setup_authentication(
     raise ConfigurationError(f"unknown auth mode {auth!r}")
 
 
-def _resolve_adversary(
-    adversary: "str | AdversarySpec | None",
-    t: int,
-    legacy_adversaries: set[NodeId],
-    delivery: "str | DeliveryModel | None",
-) -> tuple[AdversarySpec | None, "str | DeliveryModel | None"]:
-    """Fold the adversary plane into a scenario's legacy knobs.
+def _echo(n, t, value, keypairs, directories, **kwargs) -> list[Protocol]:
+    """The non-authenticated echo baseline ignores key material."""
+    return make_echo_fd_protocols(n, t, value, **kwargs)
 
-    One resolution rule for both scenario runners: parse the spec
-    (budget enforced against ``t``), refuse corruption collisions with
-    the legacy factory path *of the same protocol run* (kd-phase
-    adversaries may legitimately corrupt the same nodes again — that is
-    a different run), and let the spec's delivery power apply when the
-    caller named none.
-    """
-    spec = make_adversary(adversary, t=t)
-    if spec is None:
-        return None, delivery
-    collisions = legacy_adversaries & spec.faulty
-    if collisions:
-        raise ConfigurationError(
-            f"nodes {sorted(collisions)} are corrupted by both the adversary "
-            "spec and a legacy adversary factory — name each corruption once"
-        )
-    if delivery is None and spec.delivery is not None:
-        delivery = spec.delivery
-    return spec, delivery
+
+#: kind -> protocol name -> factory ``(n, t, value, keypairs,
+#: directories, adversaries=..., **protocol_params)``.
+_PROTOCOLS = {
+    "fd": {
+        "chain": make_chain_fd_protocols,
+        "echo": _echo,
+        "timeout": make_timeout_fd_protocols,
+        "adaptive": make_adaptive_fd_protocols,
+        "smallrange": make_small_range_protocols,
+        "smallrange-optimistic": partial(make_small_range_protocols, optimistic=True),
+    },
+    "ba": {
+        "extension": make_extended_protocols,
+        "signed": make_signed_agreement_protocols,
+    },
+}
 
 
 def _find_coordinator(protocols: list[Protocol]) -> AdaptiveCoordinator | None:
@@ -165,40 +160,27 @@ def _find_coordinator(protocols: list[Protocol]) -> AdaptiveCoordinator | None:
     return None
 
 
-def _resume_fd_scenario(
+def _resume_kernel(
     snapshot: KernelSnapshot,
-    *,
-    n: int,
-    t: int,
-    value: Any,
-    protocol: str,
-    seed: int | str,
+    kind: str,
     delivery: "str | DeliveryModel | None",
-    protocol_params: dict[str, Any] | None,
-) -> ScenarioOutcome:
-    """Finish an FD scenario from a prefix snapshot and evaluate it.
-
-    The suffix half of :func:`run_fd_scenario`'s ``resume_from`` mode:
-    validates the snapshot against the caller's scenario parameters
-    (mismatched forks fail fast instead of silently evaluating the
-    wrong run), retunes any ``protocol_params`` onto the resumed
-    protocols (the warm-started sweep axis), runs to completion, and
-    evaluates exactly as the straight path would.
-    """
+    **given: Any,
+) -> EventKernel:
+    """Validate a prefix snapshot against the caller's scenario and
+    resume it — mismatched forks fail fast instead of silently
+    evaluating the wrong run."""
     scenario = snapshot.extras.get("scenario")
-    if not isinstance(scenario, dict) or scenario.get("kind") != "fd":
+    if not isinstance(scenario, dict) or scenario.get("kind") != kind:
         raise ConfigurationError(
-            "snapshot does not carry an FD scenario fingerprint — "
-            "resume_from expects a snapshot made by run_fd_scenario(..., "
+            f"snapshot does not carry an {kind.upper()} scenario fingerprint "
+            "— resume_from expects a snapshot made by run_fd_scenario(..., "
             "checkpoint_at=T)"
         )
-    for name, given in (
-        ("n", n), ("t", t), ("protocol", protocol), ("seed", seed)
-    ):
-        if scenario.get(name) != given:
+    for name, value in given.items():
+        if scenario.get(name) != value:
             raise ConfigurationError(
                 f"resume mismatch: snapshot was taken with "
-                f"{name}={scenario.get(name)!r}, this call passes {given!r}"
+                f"{name}={scenario.get(name)!r}, this call passes {value!r}"
             )
     recorded = scenario.get("delivery")
     if (
@@ -211,28 +193,140 @@ def _resume_fd_scenario(
             f"{recorded!r}, this call passes {delivery!r} — the delivery "
             "model is part of the shared prefix, not a fork axis"
         )
-    kernel = EventKernel.resume(snapshot)
-    if protocol_params:
-        retune_protocols(kernel.protocols, **protocol_params)
+    return EventKernel.resume(snapshot)
+
+
+def _run_scenario(
+    kind: str,
+    n: int,
+    t: int,
+    value: Any,
+    protocol: str,
+    *,
+    auth: str = GLOBAL,
+    scheme: str = DEFAULT_SCHEME,
+    seed: int | str = 0,
+    kd_adversaries: dict[NodeId, Protocol] | None = None,
+    keys: tuple | None = None,
+    delivery: "str | DeliveryModel | None" = None,
+    adversary: AdversaryInput = None,
+    record_trace: bool = False,
+    protocol_params: dict[str, Any] | None = None,
+    checkpoint_at: int | None = None,
+    resume_from: KernelSnapshot | None = None,
+) -> "ScenarioOutcome | KernelSnapshot":
+    """The one scenario core behind the public runners and sessions.
+
+    Takes (``keys``: ``(keypairs, directories, kd)``) or establishes key
+    material, resolves the adversary, builds the ``kind`` protocols from
+    :data:`_PROTOCOLS`, runs (or checkpoints, or resumes), folds adaptive
+    commitments into the faulty set and evaluates F1-F3 or BA.
+    """
+    if resume_from is not None:
+        if checkpoint_at is not None:
+            raise ConfigurationError(
+                "checkpoint_at and resume_from are mutually exclusive: a "
+                "call either captures a prefix or finishes one"
+            )
+        kernel = _resume_kernel(
+            resume_from, kind, delivery, n=n, t=t, protocol=protocol, seed=seed
+        )
+        if protocol_params:
+            retune_protocols(kernel.protocols, **protocol_params)
+        kd = resume_from.extras.get("kd")
+        faulty = set(resume_from.extras["scenario"]["faulty"])
+        coordinator = _find_coordinator(kernel.protocols)
+    else:
+        factory = _PROTOCOLS[kind].get(protocol)
+        if factory is None:
+            raise ConfigurationError(f"unknown {kind.upper()} protocol {protocol!r}")
+        deferred = callable(adversary) and not isinstance(
+            adversary, (str, AdversarySpec)
+        )
+        if keys is None and protocol == "echo" and auth == GLOBAL and not (
+            deferred or kd_adversaries
+        ):
+            # The echo baseline is non-authenticated: no protocol or
+            # adversary consumes key material, and a global dealer
+            # contributes neither messages nor rounds — skip its
+            # (expensive) key generation.
+            keys = {}, {}, None
+        if keys is None:
+            keys = setup_authentication(
+                n, auth=auth, scheme=scheme, seed=seed, kd_adversaries=kd_adversaries
+            )
+        keypairs, directories, kd = keys
+        if deferred:
+            # Corruption that needs key material (the attack scenarios)
+            # is resolved once authentication ran.
+            adversary = adversary(keypairs, directories)
+        spec = make_adversary(adversary, t=t)
+        faulty = set(kd_adversaries or {})
+        overrides: dict[NodeId, Protocol] = {}
+        coordinator = None
+        if spec is not None:
+            faulty |= spec.faulty
+            # Overrides may corrupt nodes whose key material never
+            # existed (kd-phase casualties), so they enter through the
+            # factories' skip path; declarative behaviours wrap the
+            # honest protocol after construction.
+            overrides = dict(spec.overrides)
+            if delivery is None:
+                delivery = spec.delivery
+        protocols = factory(
+            n, t, value, keypairs, directories, adversaries=overrides,
+            **(protocol_params or {}),
+        )
+        if spec is not None and (spec.corrupt or spec.strategy is not None):
+            protocols, coordinator = spec.adaptive_protocols_for(protocols)
+        kernel = Runner(
+            protocols,
+            seed=seed,
+            delivery=make_delivery(delivery, rushing=faulty),
+            record_trace=record_trace,
+        )
+        if checkpoint_at is not None:
+            partial_run = kernel.run(until_tick=checkpoint_at)
+            if partial_run is not None:
+                raise ConfigurationError(
+                    f"run completed after {partial_run.rounds_executed} ticks, "
+                    f"before the checkpoint tick {checkpoint_at} — a prefix "
+                    "snapshot must precede completion"
+                )
+            return capture_kernel(
+                kernel,
+                extras={
+                    "scenario": {
+                        "kind": kind,
+                        "n": n,
+                        "t": t,
+                        "protocol": protocol,
+                        "seed": seed,
+                        "delivery": delivery if isinstance(delivery, str) else None,
+                        "adversary": spec.spec() if spec is not None else None,
+                        "faulty": sorted(faulty),
+                    },
+                    "kd": kd,
+                },
+            )
     run = kernel.run()
-    faulty = set(scenario["faulty"])
     committed: tuple[tuple[NodeId, str], ...] = ()
-    coordinator = _find_coordinator(kernel.protocols)
     if coordinator is not None and coordinator.committed:
+        # Adaptive corruptions exist only now the run has happened —
+        # they join the faulty set before the conditions are judged.
         committed = tuple(
             (node, behavior.spec())
             for node, behavior in sorted(coordinator.committed.items())
         )
         faulty |= coordinator.committed_nodes
     correct = set(range(n)) - faulty
-    fd_eval = evaluate_fd(run, correct, sender=0, sender_value=value)
+    fd_eval = ba_eval = None
+    if kind == "fd":
+        fd_eval = evaluate_fd(run, correct, sender=0, sender_value=value)
+    else:
+        ba_eval = evaluate_ba(run, correct, sender=0, sender_value=value)
     return ScenarioOutcome(
-        kd=snapshot.extras.get("kd"),
-        run=run,
-        fd=fd_eval,
-        ba=None,
-        correct=correct,
-        committed=committed,
+        kd=kd, run=run, fd=fd_eval, ba=ba_eval, correct=correct, committed=committed
     )
 
 
@@ -245,8 +339,6 @@ def run_fd_scenario(
     scheme: str = DEFAULT_SCHEME,
     seed: int | str = 0,
     kd_adversaries: dict[NodeId, Protocol] | None = None,
-    fd_adversary_factory: AdversaryFactory | None = None,
-    faulty: set[NodeId] | None = None,
     delivery: str | DeliveryModel | None = None,
     adversary: AdversaryInput = None,
     record_trace: bool = False,
@@ -262,24 +354,23 @@ def run_fd_scenario(
         delivery models, :mod:`repro.fd.timeout`), ``"adaptive"``
         (adaptive-timeout FD with measured deadlines,
         :mod:`repro.fd.adaptive`).
-    :param kd_adversaries: Byzantine behaviours during key distribution.
-    :param fd_adversary_factory: builds the FD-phase Byzantine behaviours
-        once key material exists (legacy path; kept as a facade over the
-        adversary plane).
-    :param faulty: the faulty-node set for evaluation; inferred from the
-        adversary collections when omitted.
+    :param kd_adversaries: Byzantine behaviours during key distribution
+        (local auth only) — the one key-distribution-phase input; these
+        nodes count as faulty in the FD evaluation too.
     :param delivery: delivery model for the FD run — an instance or a
         spec string (see :func:`repro.sim.make_delivery`); a ``"rush"``
         spec without an explicit node list rushes the faulty set.  The
         key-distribution phase always runs lock-step (it establishes the
         baseline the paper assumes); only the FD phase is skewed.
-    :param adversary: the declarative adversary plane —
-        an :class:`~repro.faults.AdversarySpec`, its spec string (see
-        :func:`repro.faults.make_adversary`), or a deferred factory
-        ``(keypairs, directories) -> AdversarySpec`` for corruption that
-        needs key material.  Budget-checked against ``t``; its
-        corruptions are installed over the honest protocols and its
-        delivery power applies when ``delivery`` is unset.
+    :param adversary: the FD-phase adversary, the only way to corrupt
+        the run — an :class:`~repro.faults.AdversarySpec`, its spec
+        string (see :func:`repro.faults.make_adversary`), or a deferred
+        factory ``(keypairs, directories) -> AdversarySpec`` for
+        corruption that needs key material.  Budget-checked against
+        ``t``; its corruptions are installed over the honest protocols,
+        its corrupt nodes (plus ``kd_adversaries`` and any adaptive
+        commitments) are the faulty set the evaluation subtracts, and
+        its delivery power applies when ``delivery`` is unset.
     :param record_trace: capture the FD run's structured event log.
     :param protocol_params: extra keyword arguments for the protocol
         factory (e.g. ``timeout`` / ``retransmit_every`` for
@@ -297,143 +388,11 @@ def run_fd_scenario(
         must match the snapshot's fingerprint, and ``protocol_params``
         become the fork's retunes.
     """
-    if resume_from is not None:
-        if checkpoint_at is not None:
-            raise ConfigurationError(
-                "checkpoint_at and resume_from are mutually exclusive: a "
-                "call either captures a prefix or finishes one"
-            )
-        return _resume_fd_scenario(
-            resume_from,
-            n=n,
-            t=t,
-            value=value,
-            protocol=protocol,
-            seed=seed,
-            delivery=delivery,
-            protocol_params=protocol_params,
-        )
-    if (
-        protocol == "echo"
-        and auth == GLOBAL
-        and fd_adversary_factory is None
-        and not kd_adversaries
-    ):
-        # The echo baseline is non-authenticated: no protocol or adversary
-        # consumes key material, and a global dealer contributes neither
-        # messages nor rounds — skip its (expensive) key generation.
-        keypairs, directories, kd = {}, {}, None
-    else:
-        keypairs, directories, kd = setup_authentication(
-            n, auth=auth, scheme=scheme, seed=seed, kd_adversaries=kd_adversaries
-        )
-    fd_adversaries = (
-        fd_adversary_factory(keypairs, directories)
-        if fd_adversary_factory is not None
-        else {}
-    )
-    if callable(adversary) and not isinstance(adversary, (str, AdversarySpec)):
-        # Deferred spec: corruption that needs key material (the attack
-        # scenarios) supplies a factory resolved once authentication ran.
-        adversary = adversary(keypairs, directories)
-    spec, delivery = _resolve_adversary(
-        adversary, t, set(fd_adversaries), delivery
-    )
-    if faulty is None:
-        faulty = set(kd_adversaries or {}) | set(fd_adversaries)
-    if spec is not None:
-        faulty = set(faulty) | spec.faulty
-        # Overrides may corrupt nodes whose key material never existed
-        # (kd-phase casualties), so they enter through the factories'
-        # skip path; declarative behaviours wrap the honest protocol
-        # after construction.
-        fd_adversaries = {**fd_adversaries, **dict(spec.overrides)}
-    correct = set(range(n)) - faulty
-    params = protocol_params or {}
-
-    if protocol == "chain":
-        protocols = make_chain_fd_protocols(
-            n, t, value, keypairs, directories, adversaries=fd_adversaries, **params
-        )
-    elif protocol == "echo":
-        protocols = make_echo_fd_protocols(
-            n, t, value, adversaries=fd_adversaries, **params
-        )
-    elif protocol == "timeout":
-        protocols = make_timeout_fd_protocols(
-            n, t, value, keypairs, directories, adversaries=fd_adversaries, **params
-        )
-    elif protocol == "adaptive":
-        protocols = make_adaptive_fd_protocols(
-            n, t, value, keypairs, directories, adversaries=fd_adversaries, **params
-        )
-    elif protocol in ("smallrange", "smallrange-optimistic"):
-        protocols = make_small_range_protocols(
-            n,
-            t,
-            value,
-            keypairs,
-            directories,
-            adversaries=fd_adversaries,
-            optimistic=protocol.endswith("optimistic"),
-            **params,
-        )
-    else:
-        raise ConfigurationError(f"unknown FD protocol {protocol!r}")
-    coordinator = None
-    if spec is not None and (spec.corrupt or spec.strategy is not None):
-        protocols, coordinator = spec.adaptive_protocols_for(protocols)
-
-    if checkpoint_at is not None:
-        runner = Runner(
-            protocols,
-            seed=seed,
-            delivery=make_delivery(delivery, rushing=faulty),
-            record_trace=record_trace,
-        )
-        partial = runner.run(until_tick=checkpoint_at)
-        if partial is not None:
-            raise ConfigurationError(
-                f"run completed after {partial.rounds_executed} ticks, "
-                f"before the checkpoint tick {checkpoint_at} — a prefix "
-                "snapshot must precede completion"
-            )
-        return capture_kernel(
-            runner,
-            extras={
-                "scenario": {
-                    "kind": "fd",
-                    "n": n,
-                    "t": t,
-                    "protocol": protocol,
-                    "seed": seed,
-                    "delivery": delivery if isinstance(delivery, str) else None,
-                    "adversary": spec.spec() if spec is not None else None,
-                    "faulty": sorted(faulty),
-                },
-                "kd": kd,
-            },
-        )
-
-    run = run_protocols(
-        protocols,
-        seed=seed,
-        delivery=make_delivery(delivery, rushing=faulty),
-        record_trace=record_trace,
-    )
-    committed: tuple[tuple[NodeId, str], ...] = ()
-    if coordinator is not None and coordinator.committed:
-        # Adaptive corruptions exist only now the run has happened —
-        # recompute the evaluation sets before judging F1-F3.
-        committed = tuple(
-            (node, behavior.spec())
-            for node, behavior in sorted(coordinator.committed.items())
-        )
-        faulty = set(faulty) | coordinator.committed_nodes
-        correct = set(range(n)) - faulty
-    fd_eval = evaluate_fd(run, correct, sender=0, sender_value=value)
-    return ScenarioOutcome(
-        kd=kd, run=run, fd=fd_eval, ba=None, correct=correct, committed=committed
+    return _run_scenario(
+        "fd", n, t, value, protocol, auth=auth, scheme=scheme, seed=seed,
+        kd_adversaries=kd_adversaries, delivery=delivery, adversary=adversary,
+        record_trace=record_trace, protocol_params=protocol_params,
+        checkpoint_at=checkpoint_at, resume_from=resume_from,
     )
 
 
@@ -446,8 +405,6 @@ def run_ba_scenario(
     scheme: str = DEFAULT_SCHEME,
     seed: int | str = 0,
     kd_adversaries: dict[NodeId, Protocol] | None = None,
-    ba_adversary_factory: AdversaryFactory | None = None,
-    faulty: set[NodeId] | None = None,
     delivery: str | DeliveryModel | None = None,
     adversary: AdversaryInput = None,
     record_trace: bool = False,
@@ -455,62 +412,19 @@ def run_ba_scenario(
     """Run one Byzantine Agreement scenario end to end.
 
     :param protocol: ``"extension"`` (FD→BA) or ``"signed"`` (SM(t)).
+    :param kd_adversaries: Byzantine behaviours during key distribution
+        (local auth only), counted faulty in the BA evaluation.
     :param delivery: delivery model for the BA run (instance or spec
         string; ``"rush"`` without node list rushes the faulty set).
-    :param adversary: declarative adversary plane spec (string or
-        :class:`~repro.faults.AdversarySpec`), budget-checked against
-        ``t`` — see :func:`run_fd_scenario`.
+    :param adversary: the BA-phase adversary — spec string,
+        :class:`~repro.faults.AdversarySpec` or deferred
+        ``(keypairs, directories) -> AdversarySpec`` factory,
+        budget-checked against ``t``; it names the faulty set — see
+        :func:`run_fd_scenario`.
     :param record_trace: capture the BA run's structured event log.
     """
-    keypairs, directories, kd = setup_authentication(
-        n, auth=auth, scheme=scheme, seed=seed, kd_adversaries=kd_adversaries
-    )
-    ba_adversaries = (
-        ba_adversary_factory(keypairs, directories)
-        if ba_adversary_factory is not None
-        else {}
-    )
-    if callable(adversary) and not isinstance(adversary, (str, AdversarySpec)):
-        adversary = adversary(keypairs, directories)
-    spec, delivery = _resolve_adversary(
-        adversary, t, set(ba_adversaries), delivery
-    )
-    if faulty is None:
-        faulty = set(kd_adversaries or {}) | set(ba_adversaries)
-    if spec is not None:
-        faulty = set(faulty) | spec.faulty
-        ba_adversaries = {**ba_adversaries, **dict(spec.overrides)}
-    correct = set(range(n)) - faulty
-
-    if protocol == "extension":
-        protocols = make_extended_protocols(
-            n, t, value, keypairs, directories, adversaries=ba_adversaries
-        )
-    elif protocol == "signed":
-        protocols = make_signed_agreement_protocols(
-            n, t, value, keypairs, directories, adversaries=ba_adversaries
-        )
-    else:
-        raise ConfigurationError(f"unknown BA protocol {protocol!r}")
-    coordinator = None
-    if spec is not None and (spec.corrupt or spec.strategy is not None):
-        protocols, coordinator = spec.adaptive_protocols_for(protocols)
-
-    run = run_protocols(
-        protocols,
-        seed=seed,
-        delivery=make_delivery(delivery, rushing=faulty),
+    return _run_scenario(
+        "ba", n, t, value, protocol, auth=auth, scheme=scheme, seed=seed,
+        kd_adversaries=kd_adversaries, delivery=delivery, adversary=adversary,
         record_trace=record_trace,
-    )
-    committed: tuple[tuple[NodeId, str], ...] = ()
-    if coordinator is not None and coordinator.committed:
-        committed = tuple(
-            (node, behavior.spec())
-            for node, behavior in sorted(coordinator.committed.items())
-        )
-        faulty = set(faulty) | coordinator.committed_nodes
-        correct = set(range(n)) - faulty
-    ba_eval = evaluate_ba(run, correct, sender=0, sender_value=value)
-    return ScenarioOutcome(
-        kd=kd, run=run, fd=None, ba=ba_eval, correct=correct, committed=committed
     )

@@ -5,14 +5,12 @@ during key distribution and/or the FD run, and what the paper's theorems
 predict about the outcome.  The E6 benchmark and the integration tests
 iterate this catalogue.
 
-Scenarios are re-layered onto the adversary plane
-(:mod:`repro.faults.adversary`): :meth:`AttackScenario.adversary` turns
-a scenario's FD-phase corruption into a deferred
-:class:`~repro.faults.AdversarySpec` factory the scenario runners
-consume — one corruption vocabulary for the whole library, with the
-``≤ t`` budget enforced when the spec is built.  The raw
-``fd_adversary_factory`` field remains the thin facade the existing
-call sites keep using.
+Scenarios run on the adversary plane (:mod:`repro.faults.adversary`):
+:meth:`AttackScenario.adversary` turns a scenario's FD-phase corruption
+into the deferred :class:`~repro.faults.AdversarySpec` factory the
+scenario runners take as ``adversary=``, with the ``≤ t`` budget
+enforced when the spec is built.  The key-distribution half,
+``kd_adversaries``, is the runners' one key-distribution-phase input.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from typing import Callable
 
 from ..auth.directory import KeyDirectory
 from ..crypto.keys import KeyPair
+from ..errors import ConfigurationError
 from ..faults import (
     AdversaryCoordination,
     AdversarySpec,
@@ -60,7 +59,7 @@ class AttackScenario:
     name: str
     faulty: set[NodeId]
     kd_adversaries: Callable[[], dict[NodeId, Protocol]]
-    fd_adversary_factory: Callable[
+    fd_adversaries: Callable[
         [int, int, dict[NodeId, KeyPair], dict[NodeId, KeyDirectory]],
         dict[NodeId, Protocol],
     ] = field(default=_no_fd_adversaries)
@@ -86,7 +85,7 @@ class AttackScenario:
             keypairs: dict[NodeId, KeyPair],
             directories: dict[NodeId, KeyDirectory],
         ) -> AdversarySpec:
-            overrides = self.fd_adversary_factory(n, t, keypairs, directories)
+            overrides = self.fd_adversaries(n, t, keypairs, directories)
             return AdversarySpec(overrides=tuple(overrides.items()), t=t)
 
         return build
@@ -118,7 +117,7 @@ def _shared_key_chain_scenario(n: int, t: int) -> AttackScenario:
         name="shared-key-chain",
         faulty={a, b},
         kd_adversaries=kd,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         # Key sharing is the benign case of the paper's G3 discussion:
         # "still all correct recipients of the signed message assign it to
         # the same node" — every correct node makes the same
@@ -158,7 +157,7 @@ def _cross_claim_scenario(n: int, t: int) -> AttackScenario:
         name="cross-claim-chain",
         faulty={a, b},
         kd_adversaries=kd,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         expects_discovery=True,
         description=(
             "cooperating faulty nodes distribute predicates in a mixed "
@@ -187,7 +186,7 @@ def _mixed_predicate_scenario(n: int, t: int) -> AttackScenario:
         name="mixed-predicate-chain",
         faulty={a},
         kd_adversaries=kd,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         expects_discovery=True,
         description=(
             "faulty node distributes different test predicates to correct "
@@ -208,7 +207,7 @@ def _withholding_scenario(n: int, t: int) -> AttackScenario:
         name="withholding-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         expects_discovery=True,
         description="chain node drops the chain message to its successor",
     )
@@ -222,7 +221,7 @@ def _garbling_scenario(n: int, t: int) -> AttackScenario:
         name="garbling-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         expects_discovery=True,
         description="chain node forwards the chain with a corrupted signature",
     )
@@ -236,7 +235,7 @@ def _fabricating_scenario(n: int, t: int) -> AttackScenario:
         name="fabricating-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         expects_discovery=True,
         description=(
             "chain node discards the chain and restarts it from its own "
@@ -253,7 +252,7 @@ def _crash_scenario(n: int, t: int) -> AttackScenario:
         name="crashed-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        fd_adversaries=fd,
         expects_discovery=True,
         description="chain node crashed before the run",
     )
@@ -264,9 +263,13 @@ def attack_catalogue(n: int, t: int) -> list[AttackScenario]:
 
     Requires ``t >= 1`` (the attacks place a faulty node inside the chain)
     and ``n >= t + 3`` (at least two receivers).
+
+    :raises ConfigurationError: for shapes outside that range.
     """
     if t < 1 or n < t + 3:
-        raise ValueError(f"attack catalogue needs t >= 1 and n >= t+3, got n={n}, t={t}")
+        raise ConfigurationError(
+            f"attack catalogue needs t >= 1 and n >= t+3, got n={n}, t={t}"
+        )
     return [
         _withholding_scenario(n, t),
         _garbling_scenario(n, t),

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..analysis import fd_nonauth_messages
-from ..auth import run_key_distribution, trusted_dealer_setup
 from ..crypto import DEFAULT_SCHEME
-from ..fd import evaluate_fd, make_chain_fd_protocols
-from ..sim import Protocol, make_delivery, run_protocols
-from ..types import NodeId, validate_fault_budget
-from .runner import GLOBAL, LOCAL, AdversaryFactory, ScenarioOutcome
+from ..types import validate_fault_budget
+from .runner import (
+    LOCAL,
+    AdversaryInput,
+    ScenarioOutcome,
+    _run_scenario,
+    setup_authentication,
+)
 
 
 @dataclass(frozen=True)
@@ -71,21 +74,10 @@ class AmortizedSession:
         #: (the key-distribution investment stays lock-step — it is the
         #: paper's baseline being amortized).
         self.delivery = delivery
-        if auth == LOCAL:
-            self._kd = run_key_distribution(n, scheme=scheme, seed=seed)
-            self.keypairs = self._kd.keypairs
-            self.directories = self._kd.directories
-            self.setup_messages = self._kd.messages
-        elif auth == GLOBAL:
-            self._kd = None
-            self.keypairs, self.directories = trusted_dealer_setup(
-                n, scheme=scheme, seed=seed
-            )
-            self.setup_messages = 0
-        else:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(f"unknown auth mode {auth!r}")
+        self.keypairs, self.directories, self._kd = setup_authentication(
+            n, auth=auth, scheme=scheme, seed=seed
+        )
+        self.setup_messages = self._kd.messages if self._kd is not None else 0
         self._fd_messages = 0
         self.ledger: list[LedgerEntry] = []
 
@@ -93,26 +85,24 @@ class AmortizedSession:
         self,
         value: Any,
         seed: int | str = 0,
-        adversary_factory: AdversaryFactory | None = None,
-        faulty: set[NodeId] | None = None,
+        adversary: AdversaryInput = None,
     ) -> ScenarioOutcome:
-        """Run one chain-FD instance over the session's key material."""
-        adversaries: dict[NodeId, Protocol] = (
-            adversary_factory(self.keypairs, self.directories)
-            if adversary_factory is not None
-            else {}
+        """Run one chain-FD instance over the session's key material.
+
+        :param adversary: the run's adversary, exactly as
+            :func:`~repro.harness.runner.run_fd_scenario` takes it — a
+            spec string, an :class:`~repro.faults.AdversarySpec`, or a
+            deferred ``(keypairs, directories) -> AdversarySpec``
+            factory handed the session's keys.  Budget-checked against
+            the session's ``t``; a bare ``rush`` delivery rushes its
+            corrupt nodes.
+        """
+        outcome = _run_scenario(
+            "fd", self.n, self.t, value, "chain", seed=seed,
+            keys=(self.keypairs, self.directories, self._kd),
+            delivery=self.delivery, adversary=adversary,
         )
-        if faulty is None:
-            faulty = set(adversaries)
-        correct = set(range(self.n)) - faulty
-        protocols = make_chain_fd_protocols(
-            self.n, self.t, value, self.keypairs, self.directories,
-            adversaries=adversaries,
-        )
-        run = run_protocols(
-            protocols, seed=seed, delivery=make_delivery(self.delivery)
-        )
-        self._fd_messages += run.metrics.messages_total
+        self._fd_messages += outcome.run.metrics.messages_total
         self.ledger.append(
             LedgerEntry(
                 runs=len(self.ledger) + 1,
@@ -121,13 +111,7 @@ class AmortizedSession:
                 * fd_nonauth_messages(self.n, self.t),
             )
         )
-        return ScenarioOutcome(
-            kd=self._kd,
-            run=run,
-            fd=evaluate_fd(run, correct, sender=0, sender_value=value),
-            ba=None,
-            correct=correct,
-        )
+        return outcome
 
     def crossover_run(self) -> int | None:
         """The run index at which the session first beat the baseline."""

@@ -246,15 +246,16 @@ def e5_optimistic_point(
 ) -> dict[str, Any]:
     """One optimistic binary chain run; ``withhold=True`` reproduces the
     documented F2 break (disseminator sends to low ids only)."""
-    factory = None
+    adversary = None
     if withhold:
 
-        def factory(keypairs, directories):
+        def adversary(keypairs, directories):
             disseminator = TamperingProtocol(
                 OptimisticBinaryChainProtocol(n, t, keypairs[t], directories[t]),
                 should_send=lambda rnd, to, payload: to < t + 3,
             )
-            return {t: disseminator}
+            # Budget as for the sweeps' fault loads (see _fault_load).
+            return AdversarySpec(overrides={t: disseminator}, t=max(t, 1))
 
     outcome = run_fd_scenario(
         n,
@@ -263,7 +264,7 @@ def e5_optimistic_point(
         protocol="smallrange-optimistic",
         scheme=scheme,
         seed=seed,
-        fd_adversary_factory=factory,
+        adversary=adversary,
     )
     return {
         "n": n,
@@ -298,7 +299,6 @@ def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dic
         seed=seed,
         kd_adversaries=sc.kd_adversaries(),
         adversary=sc.adversary(n, t),
-        faulty=sc.faulty,
     )
     genuine = {
         node: outcome.kd.keypairs[node].predicate for node in outcome.correct
@@ -347,11 +347,6 @@ def e7_fallback_point(
     scheme: str = COUNT_SCHEME,
 ) -> dict[str, Any]:
     """Extension cost profile: failure-free vs a crashed chain node."""
-    factory = None
-    if silent_node is not None:
-        def factory(keypairs, directories):
-            return {silent_node: SilentProtocol()}
-
     outcome = run_ba_scenario(
         n,
         t,
@@ -360,7 +355,9 @@ def e7_fallback_point(
         auth=GLOBAL,
         scheme=scheme,
         seed=seed,
-        ba_adversary_factory=factory,
+        adversary=_fault_load(
+            () if silent_node is None else (silent_node,), "silent", t
+        ),
     )
     return {
         "n": n,
@@ -544,20 +541,31 @@ def _mirror_nodes(n: int, faulty: int) -> tuple[int, ...]:
     return tuple(range(n - faulty, n))
 
 
-def _mirror_spec(mirrors: tuple[int, ...], t: int) -> AdversarySpec | None:
-    """The conventional E12/E13 corruption as an adversary-plane spec:
-    rushing mirrors on the given nodes, or None for a failure-free run.
+def _fault_load(
+    nodes: tuple[int, ...], behavior: str, t: int
+) -> AdversarySpec | None:
+    """The conventional sweep corruption as an adversary-plane spec:
+    ``behavior`` on each of ``nodes`` (E12's rushing mirrors, the
+    E13/E14 silent nodes, E7's crashed chain node), or None for a
+    failure-free run.
 
-    The budget is checked against ``max(t, len(mirrors))`` rather than
+    The budget is checked against ``max(t, len(nodes))`` rather than
     ``t`` alone: the sweeps deliberately let the ``faulty`` axis exceed
     small fault budgets to map where the guarantees actually crack.
     """
-    if not mirrors:
+    if not nodes:
         return None
     return AdversarySpec(
-        corrupt=tuple((node, "rush") for node in mirrors),
-        t=max(t, len(mirrors)),
+        corrupt=tuple((node, behavior) for node in nodes),
+        t=max(t, len(nodes)),
     )
+
+
+def _traced(result: dict[str, Any], run, trace: bool) -> dict[str, Any]:
+    """``result`` with the run's event log attached when asked."""
+    if trace and run.trace is not None:
+        result["trace"] = run.trace.format()
+    return result
 
 
 def _e12_result(
@@ -576,9 +584,7 @@ def _e12_result(
         "messages": run.metrics.messages_total,
         "mean_lag": round(run.metrics.mean_delivery_lag, 4),
     }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
+    return _traced(result, run, trace)
 
 
 @workload("e12-oral", suite="E12/regress", deliveries=("sync", "bounded", "rush"))
@@ -601,7 +607,7 @@ def e12_oral_point(
     """
     protocols = make_oral_agreement_protocols(n, t, value)
     mirrors = _mirror_nodes(n, faulty)
-    spec = _mirror_spec(mirrors, t)
+    spec = _fault_load(mirrors, "rush", t)
     if spec is not None:
         protocols = spec.protocols_for(protocols)
     run = run_protocols(
@@ -648,7 +654,7 @@ def e12_fd_point(
         auth=GLOBAL,
         scheme=COUNT_SCHEME,
         seed=seed,
-        adversary=_mirror_spec(mirrors, t),
+        adversary=_fault_load(mirrors, "rush", t),
         delivery=delivery,
         record_trace=trace,
     )
@@ -686,7 +692,7 @@ def e12_ba_point(
         auth=GLOBAL,
         scheme=COUNT_SCHEME,
         seed=seed,
-        adversary=_mirror_spec(mirrors, t),
+        adversary=_fault_load(mirrors, "rush", t),
         delivery=delivery,
         record_trace=trace,
     )
@@ -694,18 +700,6 @@ def e12_ba_point(
         outcome.run, n, t, delivery, faulty, trace,
         ba_ok=outcome.ba.ok,
         agreement=outcome.ba.agreement,
-    )
-
-
-def _silent_spec(n: int, t: int, faulty: int) -> "AdversarySpec | None":
-    """The conventional E13 fault load: ``faulty`` silent nodes on the
-    highest ids (the crash case every FD protocol must catch)."""
-    nodes = _mirror_nodes(n, faulty)
-    if not nodes:
-        return None
-    return AdversarySpec(
-        corrupt=tuple((node, "silent") for node in nodes),
-        t=max(t, len(nodes)),
     )
 
 
@@ -730,8 +724,8 @@ def e13_loss_point(
     ate, now first-class in the metrics).
     """
     delivery = f"loss:{loss}"
-    spec = _silent_spec(n, t, faulty)
     mirrors = _mirror_nodes(n, faulty)
+    spec = _fault_load(mirrors, "silent", t)
     if protocol == "oral":
         protocols = make_oral_agreement_protocols(n, t, value)
         if spec is not None:
@@ -779,9 +773,114 @@ def e13_loss_point(
         "loss_rate": round(run.metrics.loss_rate, 4),
         "rounds": run.metrics.rounds_used,
     }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
+    return _traced(result, run, trace)
+
+
+def _partition_heal(n: int, heal: int, defer: bool) -> str:
+    """The E13/E14 partition spec: ``{0 .. n//2-1}`` split from
+    ``{n//2 .. n-1}`` at tick 0, healing at ``heal``; ``defer`` parks
+    cross-partition traffic until then instead of dropping it."""
+    split = n // 2
+    mode = "/defer" if defer else ""
+    return f"partition:0-{split - 1}|{split}-{n - 1}@{heal}{mode}"
+
+
+def _fd_cell(
+    name: str,
+    protocols: tuple[str, str],
+    n: int,
+    t: int,
+    delivery: str,
+    protocol: str,
+    seed: int | str,
+    trace: bool,
+    faulty: int = 0,
+    attack: str | None = None,
+    timeout: int | None = None,
+    max_timeout: int | None = None,
+    checkpoint_at: int | None = None,
+    resume_from: KernelSnapshot | None = None,
+    **extra: Any,
+) -> dict[str, Any] | KernelSnapshot:
+    """One E13/E14 FD cell: the shared core of the four FD cell workloads.
+
+    The fault load is ``faulty`` silent nodes (E13) or, when ``attack``
+    is named, the E14 attack (see :func:`e14_adaptive_point`), whose
+    cells also report the attack and the adaptive commitments.
+    ``extra`` fields (the partition cells' ``heal`` / ``defer``) close
+    the result.  ``spurious`` is a discovery with nothing faulty *and*
+    nothing committed — an adaptively committed corruption is a real
+    fault; ``missed`` is a faulty run no correct node discovered.
+    """
+    if protocol not in protocols:
+        raise ConfigurationError(
+            f"{name} protocol must be {protocols[0]!r} or {protocols[1]!r}, "
+            f"got {protocol!r}"
+        )
+    if attack is None:
+        adversary = _fault_load(_mirror_nodes(n, faulty), "silent", t)
+    elif attack == "none":
+        adversary = None
+    elif attack == "silent":
+        adversary = _fault_load((n - 1,), "silent", t)
+    elif attack == "ack-lie":
+        adversary = AdversarySpec(corrupt=((n - 1, "ack-lie"),), t=t)
+    elif attack == "equivocate":
+        adversary = AdversarySpec(corrupt=((1, "equivocate"),), t=t)
+    elif attack.startswith("adaptive:"):
+        adversary = make_adversary(attack, t=t)
+    else:
+        raise ConfigurationError(
+            f"e14-adaptive attack must be 'none', 'silent', 'ack-lie', "
+            f"'equivocate' or 'adaptive:STRATEGY', got {attack!r}"
+        )
+    params: dict[str, Any] = {}
+    if protocol == "timeout" and timeout is not None:
+        params["timeout"] = timeout
+    if protocol == "adaptive" and max_timeout is not None:
+        params["max_timeout"] = max_timeout
+    outcome = run_fd_scenario(
+        n,
+        t,
+        "v",
+        protocol=protocol,
+        auth=GLOBAL,
+        scheme=COUNT_SCHEME,
+        seed=seed,
+        adversary=adversary,
+        delivery=delivery,
+        record_trace=trace,
+        protocol_params=params,
+        checkpoint_at=checkpoint_at,
+        resume_from=resume_from,
+    )
+    if checkpoint_at is not None:
+        return outcome
+    run = outcome.run
+    discovered = outcome.fd.any_discovery
+    faulty = 0 if adversary is None else len(adversary.faulty)
+    committed = len(outcome.committed)
+    if attack is None:
+        identity: dict[str, Any] = {"faulty": faulty}
+    else:
+        identity = {"attack": attack, "faulty": faulty, "committed": committed}
+    result = {
+        "n": n,
+        "t": t,
+        "protocol": protocol,
+        "delivery": delivery,
+        **identity,
+        "fd_ok": outcome.fd.ok,
+        "discovered": discovered,
+        "spurious": bool(discovered and faulty == 0 and committed == 0),
+        "missed": bool(not discovered and (faulty > 0 or committed > 0)),
+        "decided": sum(1 for node in outcome.correct if run.states[node].decided),
+        "messages": run.metrics.messages_total,
+        "drops": run.metrics.drops_total,
+        "rounds": run.metrics.rounds_used,
+        **extra,
+    }
+    return _traced(result, run, trace)
 
 
 @workload(
@@ -816,51 +915,11 @@ def e13_timeout_fd_point(
     runs only the shared prefix and returns its snapshot, the latter
     finishes a prefix with ``timeout`` retuned as the fork axis.
     """
-    if protocol not in ("chain", "timeout"):
-        raise ConfigurationError(
-            f"e13-timeout-fd protocol must be 'chain' or 'timeout', got "
-            f"{protocol!r}"
-        )
-    params: dict[str, Any] = {}
-    if protocol == "timeout" and timeout is not None:
-        params["timeout"] = timeout
-    outcome = run_fd_scenario(
-        n,
-        t,
-        "v",
-        protocol=protocol,
-        auth=GLOBAL,
-        scheme=COUNT_SCHEME,
-        seed=seed,
-        adversary=_silent_spec(n, t, faulty),
-        delivery=delivery,
-        record_trace=trace,
-        protocol_params=params,
-        checkpoint_at=checkpoint_at,
+    return _fd_cell(
+        "e13-timeout-fd", ("chain", "timeout"), n, t, delivery, protocol, seed,
+        trace, faulty=faulty, timeout=timeout, checkpoint_at=checkpoint_at,
         resume_from=resume_from,
     )
-    if checkpoint_at is not None:
-        return outcome
-    run = outcome.run
-    discovered = outcome.fd.any_discovery
-    result = {
-        "n": n,
-        "t": t,
-        "protocol": protocol,
-        "delivery": delivery,
-        "faulty": faulty,
-        "fd_ok": outcome.fd.ok,
-        "discovered": discovered,
-        "spurious": bool(discovered and faulty == 0),
-        "missed": bool(not discovered and faulty > 0),
-        "decided": sum(1 for node in outcome.correct if run.states[node].decided),
-        "messages": run.metrics.messages_total,
-        "drops": run.metrics.drops_total,
-        "rounds": run.metrics.rounds_used,
-    }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
 
 
 @workload("e13-partition", suite="E13/regress", deliveries=("partition",))
@@ -886,24 +945,12 @@ def e13_partition_point(
     heal falls inside the protocol's ``timeout`` horizon — versus the
     chain protocol, which has no second chance.
     """
-    split = n // 2
-    mode = "/defer" if defer else ""
-    delivery = f"partition:0-{split - 1}|{split}-{n - 1}@{heal}{mode}"
-    result = e13_timeout_fd_point(
-        n,
-        t,
-        delivery=delivery,
-        protocol=protocol,
-        faulty=0,
-        seed=seed,
-        timeout=timeout,
-        trace=trace,
-        checkpoint_at=checkpoint_at,
-        resume_from=resume_from,
+    return _fd_cell(
+        "e13-partition", ("chain", "timeout"), n, t,
+        _partition_heal(n, heal, defer), protocol, seed, trace, timeout=timeout,
+        checkpoint_at=checkpoint_at, resume_from=resume_from, heal=heal,
+        defer=defer,
     )
-    if checkpoint_at is not None:
-        return result
-    return result | {"heal": heal, "defer": defer}
 
 
 @workload(
@@ -944,72 +991,11 @@ def e14_adaptive_point(
     committed — an adaptively committed corruption is a real fault, so
     discovering it is the FD doing its job.
     """
-    if protocol not in ("timeout", "adaptive"):
-        raise ConfigurationError(
-            f"e14-adaptive protocol must be 'timeout' or 'adaptive', got "
-            f"{protocol!r}"
-        )
-    if attack == "none":
-        adversary: AdversarySpec | None = None
-    elif attack == "silent":
-        adversary = _silent_spec(n, t, 1)
-    elif attack == "ack-lie":
-        adversary = AdversarySpec(corrupt=((n - 1, "ack-lie"),), t=t)
-    elif attack == "equivocate":
-        adversary = AdversarySpec(corrupt=((1, "equivocate"),), t=t)
-    elif attack.startswith("adaptive:"):
-        adversary = make_adversary(attack, t=t)
-    else:
-        raise ConfigurationError(
-            f"e14-adaptive attack must be 'none', 'silent', 'ack-lie', "
-            f"'equivocate' or 'adaptive:STRATEGY', got {attack!r}"
-        )
-    params: dict[str, Any] = {}
-    if protocol == "timeout" and timeout is not None:
-        params["timeout"] = timeout
-    if protocol == "adaptive" and max_timeout is not None:
-        params["max_timeout"] = max_timeout
-    outcome = run_fd_scenario(
-        n,
-        t,
-        "v",
-        protocol=protocol,
-        auth=GLOBAL,
-        scheme=COUNT_SCHEME,
-        seed=seed,
-        adversary=adversary,
-        delivery=delivery,
-        record_trace=trace,
-        protocol_params=params,
-        checkpoint_at=checkpoint_at,
-        resume_from=resume_from,
+    return _fd_cell(
+        "e14-adaptive", ("timeout", "adaptive"), n, t, delivery, protocol, seed,
+        trace, attack=attack, timeout=timeout, max_timeout=max_timeout,
+        checkpoint_at=checkpoint_at, resume_from=resume_from,
     )
-    if checkpoint_at is not None:
-        return outcome
-    run = outcome.run
-    discovered = outcome.fd.any_discovery
-    faulty = 0 if adversary is None else len(adversary.faulty)
-    committed = len(outcome.committed)
-    result = {
-        "n": n,
-        "t": t,
-        "protocol": protocol,
-        "delivery": delivery,
-        "attack": attack,
-        "faulty": faulty,
-        "committed": committed,
-        "fd_ok": outcome.fd.ok,
-        "discovered": discovered,
-        "spurious": bool(discovered and faulty == 0 and committed == 0),
-        "missed": bool(not discovered and (faulty > 0 or committed > 0)),
-        "decided": sum(1 for node in outcome.correct if run.states[node].decided),
-        "messages": run.metrics.messages_total,
-        "drops": run.metrics.drops_total,
-        "rounds": run.metrics.rounds_used,
-    }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
 
 
 @workload("e14-equivocation", suite="E14/regress", deliveries=("partition",))
@@ -1032,18 +1018,11 @@ def e14_equivocation_point(
     deferrals.  Measured: whether the FD under test still converges on
     the sender's value and whether anyone catches the equivocator.
     """
-    split = n // 2
-    mode = "/defer" if defer else ""
-    delivery = f"partition:0-{split - 1}|{split}-{n - 1}@{heal}{mode}"
-    return e14_adaptive_point(
-        n,
-        t,
-        delivery=delivery,
-        protocol=protocol,
-        attack="equivocate",
-        seed=seed,
-        trace=trace,
-    ) | {"heal": heal, "defer": defer}
+    return _fd_cell(
+        "e14-equivocation", ("timeout", "adaptive"), n, t,
+        _partition_heal(n, heal, defer), protocol, seed, trace,
+        attack="equivocate", heal=heal, defer=defer,
+    )
 
 
 @workload(
@@ -1057,7 +1036,7 @@ def akd_shard_point(
     seed: int | str = 0,
     scheme: str = COUNT_SCHEME,
     instances: tuple[int, ...] | None = None,
-    byzantine: tuple[tuple[int, str], ...] = (),
+    adversary: "str | None" = None,
     delivery: "str | None" = None,
     engine: "str | None" = None,
 ) -> dict[int, Any]:
@@ -1067,8 +1046,8 @@ def akd_shard_point(
     processes: runs the full n-node simulation restricted to the given
     instance subset and returns each instance's
     :class:`~repro.sim.multiplex.InstanceAggregate` (settled metrics —
-    picklable, value-comparable).  ``byzantine`` is the picklable
-    adversary spec of :func:`repro.auth.agreement_based.akd_byzantine_protocol`.
+    picklable, value-comparable).  ``adversary`` is the picklable spec
+    string of :func:`repro.auth.run_agreement_key_distribution`.
     Unlike the other registry entries this returns aggregates rather than
     a flat count dict — it is executor plumbing, not a sweep point.
     """
@@ -1077,7 +1056,7 @@ def akd_shard_point(
         t,
         scheme=scheme,
         seed=seed,
-        byzantine=byzantine,
+        adversary=adversary,
         instances=instances,
         delivery=delivery,
         engine=engine,
@@ -1096,7 +1075,7 @@ def akd_point(
     seed: int | str = 0,
     scheme: str = COUNT_SCHEME,
     shard_workers: int = 0,
-    byzantine: tuple[tuple[int, str], ...] = (),
+    adversary: "str | None" = None,
     delivery: "str | None" = None,
     engine: "str | None" = None,
 ) -> dict[str, Any]:
@@ -1114,6 +1093,8 @@ def akd_point(
     accepts any deterministic-calendar spec (``bounded:3``,
     ``loss:0.05:2``, ``partition:...``) — the arrival-columned batch
     plane keeps the columnar engine engaged on all of them.
+    ``adversary`` is an adversary spec string (``"6=noise"``,
+    ``"2=silent;5=noise"``), budget-checked against ``t``.
     """
     if shard_workers and shard_workers > 1:
         from .parallel import run_mux_shards
@@ -1125,7 +1106,7 @@ def akd_point(
                 "t": t,
                 "seed": seed,
                 "scheme": scheme,
-                "byzantine": byzantine,
+                "adversary": adversary,
                 "delivery": delivery,
                 "engine": engine,
             },
@@ -1142,7 +1123,7 @@ def akd_point(
             t,
             scheme=scheme,
             seed=seed,
-            byzantine=byzantine,
+            adversary=adversary,
             delivery=delivery,
             engine=engine,
         )

@@ -114,7 +114,7 @@ class TestByzantineSpecs:
     def test_noise_spec_within_budget_preserves_agreement(self):
         n, t = 7, 2
         result = run_agreement_key_distribution(
-            n, t, seed=3, byzantine={6: "noise"}
+            n, t, seed=3, adversary="6=noise"
         )
         correct = set(range(n)) - {6}
         for observer in correct:
@@ -123,24 +123,24 @@ class TestByzantineSpecs:
                     result.keypairs[subject].predicate,
                 )
 
-    def test_explicit_adversaries_override_spec(self):
-        n, t = 7, 2
-        result = run_agreement_key_distribution(
-            n,
-            t,
-            seed=3,
-            byzantine={5: "noise"},
-            adversaries={5: SilentProtocol()},
-        )
-        # A silent node sends nothing: no envelope carries sender 5.
-        assert result.run.metrics.messages_per_sender[5] == 0
+    def test_malformed_spec_rejected(self):
+        with pytest.raises(ConfigurationError, match="NODE=BEHAVIOR"):
+            run_agreement_key_distribution(7, 2, adversary="bad")
+
+    def test_over_budget_spec_rejected(self):
+        with pytest.raises(ConfigurationError, match="budget"):
+            run_agreement_key_distribution(7, 2, adversary="4=noise;5=noise;6=silent")
+
+    def test_adaptive_strategy_rejected(self):
+        with pytest.raises(ConfigurationError, match="static"):
+            run_agreement_key_distribution(7, 2, adversary="adaptive:gag-sender")
 
 
 class TestFaultTolerance:
     def test_silent_node_within_budget(self):
         n, t = 7, 2
         result = run_agreement_key_distribution(
-            n, t, adversaries={5: SilentProtocol()}, seed=2
+            n, t, adversary="5=silent", seed=2
         )
         correct = set(range(n)) - {5}
         # Correct nodes still agree on each other's genuine predicates.

@@ -56,10 +56,7 @@ class TestLemma3AndTheorem4:
             auth=LOCAL,
             seed=42,
             kd_adversaries=scenario.kd_adversaries(),
-            fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                N, T, kp, dirs
-            ),
-            faulty=scenario.faulty,
+            adversary=scenario.adversary(N, T),
         )
         assert outcome.fd.ok, f"{scenario.name}: {outcome.fd.detail}"
         assert outcome.fd.any_discovery == scenario.expects_discovery, scenario.name
@@ -80,10 +77,7 @@ class TestLemma3AndTheorem4:
                 "v",
                 auth=auth,
                 seed=7,
-                fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                    N, T, kp, dirs
-                ),
-                faulty=scenario.faulty,
+                adversary=scenario.adversary(N, T),
             )
             verdicts[auth] = (outcome.fd.ok, outcome.fd.any_discovery)
         assert verdicts[GLOBAL] == verdicts[LOCAL]
@@ -102,10 +96,7 @@ class TestLemma3AndTheorem4:
             auth=LOCAL,
             seed=seed,
             kd_adversaries=scenario.kd_adversaries(),
-            fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                N, T, kp, dirs
-            ),
-            faulty=scenario.faulty,
+            adversary=scenario.adversary(N, T),
         )
         assert outcome.fd.ok
         assert outcome.fd.any_discovery

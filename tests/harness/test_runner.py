@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import SilentProtocol
+from repro.faults import AdversarySpec, SilentProtocol
 from repro.harness import (
     GLOBAL,
     LOCAL,
+    attack_catalogue,
     run_ba_scenario,
     run_fd_scenario,
     setup_authentication,
@@ -75,14 +76,30 @@ class TestRunFdScenario:
             1,
             "v",
             seed=5,
-            fd_adversary_factory=lambda kp, dirs: {1: SilentProtocol()},
+            adversary=lambda kp, dirs: AdversarySpec(
+                overrides={1: SilentProtocol()}, t=1
+            ),
         )
         assert outcome.correct == {0, 2, 3, 4, 5}
         assert outcome.fd.ok and outcome.fd.any_discovery
 
-    def test_explicit_faulty_set_wins(self):
-        outcome = run_fd_scenario(6, 1, "v", seed=6, faulty={4, 5})
-        assert outcome.correct == {0, 1, 2, 3}
+    @pytest.mark.parametrize(
+        "scenario", attack_catalogue(8, 2), ids=lambda s: s.name
+    )
+    def test_attack_faulty_set_derived_from_adversary(self, scenario):
+        """The E6 catalogue's faulty sets need not be restated: the
+        runner derives them from what the scenario corrupts."""
+        outcome = run_fd_scenario(
+            8,
+            2,
+            "v",
+            auth=LOCAL,
+            scheme="simulated-hmac",
+            seed=1,
+            kd_adversaries=scenario.kd_adversaries(),
+            adversary=scenario.adversary(8, 2),
+        )
+        assert outcome.correct == set(range(8)) - scenario.faulty
 
 
 class TestRunBaScenario:

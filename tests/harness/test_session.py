@@ -6,8 +6,7 @@ import pytest
 
 from repro.analysis import crossover_runs, keydist_messages
 from repro.errors import ConfigurationError
-from repro.faults import SilentProtocol
-from repro.harness import GLOBAL, LOCAL, AmortizedSession
+from repro.harness import GLOBAL, LOCAL, AmortizedSession, run_fd_scenario
 
 
 class TestSessionSetup:
@@ -61,7 +60,20 @@ class TestRepeatedRuns:
         outcome = session.run(
             "v",
             seed=1,
-            adversary_factory=lambda kp, dirs: {1: SilentProtocol()},
+            adversary="1=silent",
         )
         assert outcome.fd.ok and outcome.fd.any_discovery
+        assert outcome.correct == set(range(8)) - {1}
         assert session.ledger[-1].runs == 1
+
+    def test_run_matches_the_scenario_runner(self):
+        """A session run is the scenario core over the session's keys: a
+        rushing adversary under a bare ``rush`` delivery rushes its
+        corrupt node exactly as run_fd_scenario does."""
+        session = AmortizedSession(n=8, t=2, auth=GLOBAL, seed=9, delivery="rush")
+        outcome = session.run("v", seed=4, adversary="6=rush")
+        straight = run_fd_scenario(
+            8, 2, "v", seed=9, delivery="rush", adversary="6=rush"
+        )
+        assert outcome.correct == straight.correct == set(range(8)) - {6}
+        assert outcome.fd == straight.fd

@@ -88,6 +88,16 @@ class TestAttack:
             ["attack", "--name", "no-such-attack", "--n", "8", "--t", "2"]
         ) == 2
 
+    def test_list_outside_catalogue_shape_exits_2(self, capsys):
+        assert main(["attack", "--list", "--n", "4", "--t", "0"]) == 2
+        assert "t >= 1" in capsys.readouterr().err
+
+    def test_run_outside_catalogue_shape_exits_2(self, capsys):
+        assert main(
+            ["attack", "--n", "3", "--t", "1", "--name", "crashed-chain-node"]
+        ) == 2
+        assert "n >= t+3" in capsys.readouterr().err
+
 
 class TestListWorkloads:
     def test_lists_names_suites_and_picklability(self, capsys):
@@ -126,6 +136,21 @@ class TestRunWorkload:
         ) == 0
         out = capsys.readouterr().out
         assert "instance_messages_min" in out
+
+    def test_akd_takes_an_adversary_spec(self, capsys):
+        assert main(
+            ["run", "--workload", "akd", "--param", "n=7", "--param", "t=2",
+             "--param", "adversary=6=noise"]
+        ) == 0
+        assert "agreed" in capsys.readouterr().out
+
+    def test_akd_malformed_adversary_prints_the_grammar_error(self, capsys):
+        assert main(
+            ["run", "--workload", "akd", "--param", "n=7", "--param", "t=2",
+             "--param", "adversary=bad"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "workload akd" in err and "NODE=BEHAVIOR" in err
 
     def test_unknown_workload_exits_2(self, capsys):
         assert main(["run", "--workload", "no-such"]) == 2
