@@ -10,14 +10,18 @@ example, is rebuilt from unpickled keys on arrival, and a regression
 there makes every resumed signature verify as forged while all
 in-process tests stay green.
 
-So this gate runs three separate interpreters:
+So this gate runs three separate interpreters per point:
 
-1. a straight run of one E13 point, printing its counts;
+1. a straight run of the point, printing its counts;
 2. the same point stopped at a checkpoint tick, snapshot saved to disk;
 3. a fresh process resuming that snapshot file and printing its counts.
 
-Pass iff (1) and (3) print identical JSON.  ``scripts/check.sh`` runs
-this after the bench smoke; it costs well under a second.
+It does so under three ``PYTHONHASHSEED`` values, and the resume child
+always runs under a different hash seed from the checkpoint child, so
+neither the hash seed nor the process boundary may move a count.  Pass
+iff every straight and resumed run of a point prints the same JSON.
+``scripts/check.sh`` runs this after the bench smoke; it costs a few
+seconds.
 """
 
 from __future__ import annotations
@@ -30,13 +34,21 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: One point each from the E13 and E14 grids: a lossy-delayed timeout-FD
-#: run (drops + delayed arrivals straddle the checkpoint tick) and an
-#: adaptive-adversary run (the muffler's coordinator state must travel).
+#: Points from the E13 and E14 grids: a lossy-delayed timeout-FD run
+#: (drops + delayed arrivals straddle the checkpoint tick), the same
+#: protocol under synchronous rounds (next-tick deliveries in the
+#: calendar at the checkpoint), and an adaptive-adversary run (the
+#: muffler's coordinator state must travel).
 POINTS: list[tuple[str, dict, int]] = [
     (
         "e13-timeout-fd",
         {"n": 8, "t": 1, "delivery": "loss:0.2:2", "protocol": "timeout",
+         "faulty": 1, "seed": 5, "timeout": 12},
+        6,
+    ),
+    (
+        "e13-timeout-fd",
+        {"n": 8, "t": 1, "delivery": "sync", "protocol": "timeout",
          "faulty": 1, "seed": 5, "timeout": 12},
         6,
     ),
@@ -49,6 +61,9 @@ POINTS: list[tuple[str, dict, int]] = [
 ]
 
 KEYS = ("messages", "drops", "rounds", "discovered", "decided", "fd_ok")
+
+#: Hash seeds the children run under (string/bytes hashing differs).
+HASH_SEEDS = ("0", "1", "987654")
 
 _STRAIGHT = """
 import json, sys
@@ -77,13 +92,13 @@ print(json.dumps({k: result[k] for k in keys}))
 """
 
 
-def _python(code: str, payload) -> str:
+def _python(code: str, payload, hash_seed: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(payload)],
         capture_output=True,
         text=True,
         cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src")},
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONHASHSEED": hash_seed},
     )
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
@@ -94,15 +109,26 @@ def _python(code: str, payload) -> str:
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, point, tick in POINTS:
-            path = str(Path(tmp) / f"{workload}.ckpt")
-            straight = _python(_STRAIGHT, [workload, point, KEYS])
-            _python(_CHECKPOINT, [workload, point, tick, path])
-            resumed = _python(_RESUME, [workload, point, KEYS, path])
-            verdict = "ok" if resumed == straight else "DIVERGED"
-            print(f"  {workload} @tick {tick}: straight {straight} | resumed {verdict}")
-            if resumed != straight:
-                print(f"    resumed: {resumed}", file=sys.stderr)
+        for index, (workload, point, tick) in enumerate(POINTS):
+            path = str(Path(tmp) / f"point{index}.ckpt")
+            label = f"{workload} {point['delivery']} @tick {tick}"
+            outputs = []
+            for turn, seed in enumerate(HASH_SEEDS):
+                resume_seed = HASH_SEEDS[(turn + 1) % len(HASH_SEEDS)]
+                outputs.append((f"straight, hash seed {seed}",
+                                _python(_STRAIGHT, [workload, point, KEYS], seed)))
+                _python(_CHECKPOINT, [workload, point, tick, path], seed)
+                outputs.append((
+                    f"resumed, checkpoint hash seed {seed} -> {resume_seed}",
+                    _python(_RESUME, [workload, point, KEYS, path], resume_seed),
+                ))
+            expected = outputs[0][1]
+            diverged = [(what, out) for what, out in outputs if out != expected]
+            verdict = "DIVERGED" if diverged else "ok"
+            print(f"  {label}: straight {expected} | resumed x{len(HASH_SEEDS)} "
+                  f"hash seeds {verdict}")
+            for what, out in diverged:
+                print(f"    {what}: {out}", file=sys.stderr)
                 status = 1
     if status:
         print(

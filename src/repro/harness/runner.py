@@ -49,7 +49,6 @@ from ..sim import (
     EventKernel,
     KernelSnapshot,
     Protocol,
-    Runner,
     RunResult,
     capture_kernel,
     make_delivery,
@@ -279,7 +278,7 @@ def _run_scenario(
         )
         if spec is not None and (spec.corrupt or spec.strategy is not None):
             protocols, coordinator = spec.adaptive_protocols_for(protocols)
-        kernel = Runner(
+        kernel = EventKernel(
             protocols,
             seed=seed,
             delivery=make_delivery(delivery, rushing=faulty),

@@ -34,8 +34,8 @@ adaptive adversaries).  The ingredients:
   plain envelopes) in emission order, and groups are filed in bucket
   order, so group arrays replay the object path's per-inbox arrival
   order exactly — even under jittered calendars, where one bucket mixes
-  emissions from several earlier ticks.  On the general event path the
-  plane also *captures* plain wrapped envelopes addressed to consumers
+  emissions from several earlier ticks.  The plane also *captures*
+  plain wrapped envelopes addressed to consumers
   (:meth:`BatchPlane.capture`) into the same arrays at their bucket
   position, so mixed plain/batched traffic needs no merge heuristics.
 * **timing** — records carry their emission round and arrive in
@@ -67,7 +67,6 @@ from .message import Envelope, mux_unwrap
 
 if TYPE_CHECKING:
     from .kernel import EventKernel
-    from .metrics import Metrics
 
 #: Shared read-only result for "consumer channel with no traffic yet".
 _EMPTY_GROUPS: dict[int, "ChannelBatch"] = {}
@@ -126,15 +125,6 @@ class BatchRecord:
             return 1
         return len(target)
 
-    def covers(self, node: NodeId) -> bool:
-        """Whether ``node`` is among this record's recipients."""
-        target = self.target
-        if target is None:
-            return node != self.sender
-        if type(target) is int:
-            return target == node
-        return node in target
-
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
             f"BatchRecord({self.channel}/{self.instance} from {self.sender} "
@@ -148,7 +138,7 @@ class ChannelBatch:
     Parallel arrays in arrival (bucket) order — which is emission order
     within each arrival tick: ``senders[i]`` emitted ``payloads[i]`` at
     round ``rounds[i]`` to the recipient set ``targets[i]`` (encoded as
-    in :attr:`BatchRecord.target`).  Under lock-step models every entry
+    in :attr:`BatchRecord.target`).  Under synchronous rounds every entry
     has ``rounds[i] == tick - 1``; under jittered calendars the column
     is what keeps materialised envelopes and delivery-lag accounting
     exact.  One ``ChannelBatch`` is shared by every consumer of the
@@ -222,21 +212,14 @@ class BatchPlane:
             for channel, members in snapshot.items()
         }
 
-    def deliver(
-        self,
-        record: BatchRecord,
-        inboxes: list[list[Envelope]],
-        metrics: "Metrics | None",
-        tick: Round,
-    ) -> None:
+    def deliver(self, record: BatchRecord, inboxes: list[list[Envelope]]) -> int:
         """File one arriving record: group it for consumers, materialise
-        plain envelopes for everyone else, account deliveries in bulk.
+        plain envelopes for everyone else.
 
-        ``metrics`` is ``None`` on the lock-step path (where the object
-        path records no deliveries either); on the general path the bulk
-        charge passes the record's emission round so the delivery-lag
-        accumulator stays exact under jittered calendars (the charge is
-        zero on next-tick arrivals, matching the pre-jitter counts).
+        Returns the number of deliveries the record stands for; the
+        kernel charges a whole calendar bucket's deliveries (with their
+        emission rounds, so the delivery-lag accumulator stays exact
+        under jittered calendars) in one bulk metrics call.
         """
         channel = record.channel
         groups = self._groups.get(channel)
@@ -251,53 +234,42 @@ class BatchPlane:
         group.payloads.append(record.payload)
         group.targets.append(target)
         group.rounds.append(record.round_sent)
-        if metrics is not None:
-            metrics.record_deliveries(
-                tick, record.recipient_count(len(inboxes)), record.round_sent
-            )
-        outsiders = self._outsiders.get(channel)
-        if outsiders is None:
-            # No consumer snapshot for this channel yet (records from a
-            # mid-tick registration): everyone gets plain envelopes.
-            outsiders = range(len(inboxes))
-        elif not outsiders:
-            return
         wrapped = record.wrapped
         round_sent = record.round_sent
         if type(target) is int:
             snapshot = self._snapshot.get(channel)
             if snapshot is None or target not in snapshot:
                 inboxes[target].append(Envelope(sender, target, wrapped, round_sent))
-            return
+            return 1
+        outsiders = self._outsiders.get(channel)
+        if outsiders is None:
+            # No consumer snapshot for this channel yet (records from a
+            # mid-tick registration): everyone gets plain envelopes.
+            outsiders = range(self._n)
         if target is None:
             for node in outsiders:
                 if node != sender:
                     inboxes[node].append(Envelope(sender, node, wrapped, round_sent))
-            return
+            return self._n - 1
         for node in outsiders:
             if node in target:
                 inboxes[node].append(Envelope(sender, node, wrapped, round_sent))
+        return len(target)
 
-    def capture(
-        self,
-        envelope: Envelope,
-        metrics: "Metrics | None",
-        tick: Round,
-    ) -> bool:
+    def capture(self, envelope: Envelope) -> bool:
         """Try to file a plain wrapped envelope into its consumer's group.
 
-        The general event path's answer to mixed plain/batched traffic
-        under jittered calendars: an ordinary envelope (a tampering lens
-        re-materialising its sends, a Byzantine node writing wire tuples
-        by hand) whose recipient is a snapshot consumer and whose payload
-        parses as that channel's mux wrapper is appended to the group
-        arrays *at its calendar position*, so the consumer sees exactly
-        the object path's per-inbox arrival order without any
-        sender-sorted merge heuristics (which are only valid lock-step).
-        Returns ``False`` — deliver it plain — for non-consumers and
-        malformed wrappers; the object-path demux would treat the latter
-        as noise for no instance, and an unparsed envelope in a plain
-        inbox reproduces that exactly.
+        The answer to mixed plain/batched traffic: an ordinary envelope
+        (a tampering lens re-materialising its sends, a Byzantine node
+        writing wire tuples by hand) whose recipient is a snapshot
+        consumer and whose payload parses as that channel's mux wrapper
+        is appended to the group arrays *at its calendar position*, so
+        the consumer sees exactly the object path's per-inbox arrival
+        order without any merge heuristics.  Returns ``False`` — deliver
+        it plain — for non-consumers and malformed wrappers; the
+        object-path demux would treat the latter as noise for no
+        instance, and an unparsed envelope in a plain inbox reproduces
+        that exactly.  Either way the kernel accounts the delivery.
         """
         recipient = envelope.recipient
         payload = envelope.payload
@@ -318,8 +290,6 @@ class BatchPlane:
             group.payloads.append(inner)
             group.targets.append(recipient)
             group.rounds.append(envelope.round_sent)
-            if metrics is not None:
-                metrics.record_deliveries(tick, 1, envelope.round_sent)
             return True
         return False
 

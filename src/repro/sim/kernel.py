@@ -12,6 +12,12 @@ immediate senders, lock-step rounds), the kernel factors the runtime into
   order.  Synchronous rounds are one such model — the default, and a
   *special case*, not the kernel's shape.
 
+There is one execution path: every model, :class:`SynchronousRounds`
+included, files its deliveries into the calendar, each tick drains one
+calendar bucket into the inboxes (accounting the bucket's deliveries in
+one bulk charge), and one activation loop steps the nodes — recording
+views and trace transitions only when those are switched on.
+
 Determinism contract, re-proved at the event level
 --------------------------------------------------
 Given the same protocols, master seed and delivery model, a run is
@@ -32,13 +38,13 @@ bit-for-bit reproducible.  The event-level argument:
 
 Under :class:`~repro.sim.network.SynchronousRounds` this collapses to
 the old scheduler's guarantee: all arrivals are "next tick", activations
-ascend by node id, so every inbox is born sender-sorted — and the kernel
-runs a batched lock-step fast path that is *bit-for-bit identical* to
-the pre-kernel ``Runner`` in decisions, rounds and per-kind
-message/byte counters (``tests/sim/test_kernel.py`` keeps a verbatim
-copy of the old runner as the reference oracle and property-tests the
-equivalence under random Byzantine behaviour; the benchmark gate checks
-the whole grid's counts against ``BENCH_3.json``).
+ascend by node id, so every inbox is born sender-sorted — bit-for-bit
+identical to the pre-kernel runner in decisions, rounds, per-kind
+message/byte counters, trace events and views
+(``tests/sim/_reference_runner.py`` keeps a verbatim copy of the old
+loop as the oracle, and ``tests/sim/test_kernel.py`` property-tests the
+equivalence under random Byzantine behaviour).  Synchronous runs also
+carry per-delivery counters, equal to those of ``BoundedDelay(1)``.
 
 Causality
 ---------
@@ -73,8 +79,9 @@ class RunResult:
 
     :ivar n: network size.
     :ivar rounds_executed: number of kernel ticks executed.  Under
-        lock-step delivery a tick is exactly one synchronous round; the
-        name is kept for the 100+ pre-kernel call sites.
+        :class:`~repro.sim.network.SynchronousRounds` a tick is exactly
+        one synchronous round; the name is kept for the 100+ pre-kernel
+        call sites.
     :ivar metrics: message/byte/round counters (see :class:`Metrics`).
     :ivar states: per-node outcomes, indexed by node id.
     :ivar views: per-node recorded views (empty if view recording was off).
@@ -154,14 +161,13 @@ class EventKernel:
         self._trace = Trace() if record_trace else None
         self._metrics = Metrics()
         self._delivery = delivery if delivery is not None else SynchronousRounds()
-        self._lockstep = self._delivery.lockstep
-        # Lock-step fast queue: every arrival is "next tick", so a single
-        # pending list (drained into per-recipient buckets each tick) is
-        # the whole calendar.  May also hold BatchRecords (see below).
-        self._pending: list[Envelope] = []
-        # General calendar queue: arrival tick -> envelopes in emission
-        # (seq) order.  Buckets are appended in ascending seq, so popping
-        # a bucket yields (tick, seq)-ordered deliveries without sorting.
+        # Trace sends carry their arrival tick (``@t``) except under
+        # synchronous rounds, where arrival is always the next tick.
+        self._stamp_arrivals = not isinstance(self._delivery, SynchronousRounds)
+        # Calendar queue: arrival tick -> envelopes (and BatchRecords) in
+        # emission (seq) order.  Buckets are appended in ascending seq, so
+        # popping a bucket yields (tick, seq)-ordered deliveries without
+        # sorting.
         self._calendar: dict[Round, list[Envelope]] = {}
         # Columnar batch plane (structure-of-arrays mux delivery): only
         # when the model can price whole batch sends deterministically
@@ -182,9 +188,8 @@ class EventKernel:
         self._batch: BatchPlane | None = (
             BatchPlane(self) if self._batch_disabled_reason is None else None
         )
-        # Persistent inboxes for the general path (same-tick rushing
-        # deliveries append here mid-tick); freshly rebuilt per tick on
-        # the lock-step path.
+        # Persistent inboxes (same-tick rushing deliveries append here
+        # mid-tick); a node's list is swapped for a fresh one as it acts.
         self._inboxes: list[list[Envelope]] = [[] for _ in range(self.n)]
         # Last tick each node acted in (causality check for same-tick
         # deliveries); -1 = never.
@@ -200,8 +205,8 @@ class EventKernel:
 
     @property
     def round(self) -> Round:
-        """Alias of :attr:`tick` — the API the contexts and the old
-        ``Runner`` call sites read."""
+        """Alias of :attr:`tick` — the round-indexed API the contexts
+        and pre-kernel call sites read."""
         return self.tick
 
     @property
@@ -254,12 +259,8 @@ class EventKernel:
         assigns the arrival tick, and the kernel checks causality.
         """
         self._metrics.record(envelope)
-        if self._lockstep:
-            if self._trace is not None:
-                self._trace.record_send(envelope)
-            self._pending.append(envelope)
-            return
-        arrival = self._delivery.arrival_tick(envelope, self.tick)
+        tick = self.tick
+        arrival = self._delivery.arrival_tick(envelope, tick)
         if arrival is None:
             # The model dropped the envelope (lossy links, partition
             # boundary): it still counts as sent, and the loss itself is
@@ -269,18 +270,21 @@ class EventKernel:
                 self._trace.record_drop(envelope)
             return
         if self._trace is not None:
-            self._trace.record_send(envelope, arrival_tick=arrival)
-        if arrival > self.tick:
+            self._trace.record_send(
+                envelope, arrival if self._stamp_arrivals else None
+            )
+        if arrival > tick:
             bucket = self._calendar.get(arrival)
             if bucket is None:
-                bucket = self._calendar[arrival] = []
-            bucket.append(envelope)
+                self._calendar[arrival] = [envelope]
+            else:
+                bucket.append(envelope)
             return
-        if arrival < self.tick or self._acted_at[envelope.recipient] == self.tick:
+        if arrival < tick or self._acted_at[envelope.recipient] == tick:
             raise SimulationError(
                 f"delivery model {self._delivery.name!r} scheduled an envelope "
                 f"from {envelope.sender} to {envelope.recipient} into the past "
-                f"(arrival {arrival}, tick {self.tick})"
+                f"(arrival {arrival}, tick {tick})"
             )
         # Legal same-tick (rushing) delivery: the recipient acts later
         # this tick and will see the envelope in its current inbox.
@@ -300,9 +304,11 @@ class EventKernel:
         The columnar counterpart of per-recipient :meth:`enqueue` calls:
         metrics charge the whole send at once, and delivery travels as
         :class:`~repro.sim.batch.BatchRecord`\\ s interleaved with plain
-        envelopes in emission order.  ``recipients=None`` is the
-        broadcast-to-all-others fast path (a single record, no
-        per-recipient structure); an explicit recipient list becomes one
+        envelopes in emission order.  ``recipients=None`` broadcasts to
+        all others as one record per arrival tick (a single record, with
+        no per-recipient structure, when every copy arrives at the same
+        tick — always so under synchronous rounds); an explicit recipient
+        list becomes one
         single-target record per entry, which preserves per-copy
         delivery even for duplicate recipients.  Only reachable through
         consumers that successfully registered with the batch plane, so
@@ -315,20 +321,6 @@ class EventKernel:
         wrapped = mux_wrap(channel, instance, payload)
         count = n - 1 if recipients is None else len(recipients)
         self._metrics.record_broadcast(sender, tick, wrapped, count)
-        if self._lockstep:
-            pending = self._pending
-            if recipients is None:
-                pending.append(
-                    BatchRecord(channel, instance, sender, payload, wrapped, None, tick)
-                )
-            else:
-                for recipient in recipients:
-                    pending.append(
-                        BatchRecord(
-                            channel, instance, sender, payload, wrapped, recipient, tick
-                        )
-                    )
-            return count
         broadcast_all = recipients is None
         if broadcast_all:
             recipients = self._others.get(sender)
@@ -343,10 +335,24 @@ class EventKernel:
         arrivals = self._delivery.batch_arrivals(sender, recipients, tick)
         calendar = self._calendar
         dropped = 0
-        if broadcast_all:
+        if broadcast_all and arrivals.count(arrivals[0]) == count:
+            # Every recipient arrives at the same tick (or is dropped):
+            # the whole broadcast stays one record.
+            arrival = arrivals[0]
+            if arrival is None:
+                self._metrics.record_drops(sender, tick, count)
+                return count
+            bucket = calendar.get(arrival)
+            if bucket is None:
+                bucket = calendar[arrival] = []
+            bucket.append(
+                BatchRecord(channel, instance, sender, payload, wrapped, None, tick)
+            )
+        elif broadcast_all:
             # Split the logical broadcast into one record per arrival
-            # tick.  Appending during this call keeps each bucket in
-            # emission order relative to other senders' traffic.
+            # tick, each naming a strict subset of the recipients.
+            # Appending during this call keeps each bucket in emission
+            # order relative to other senders' traffic.
             buckets: dict[Round, list[NodeId]] = {}
             for recipient, arrival in zip(recipients, arrivals):
                 if arrival is None:
@@ -355,16 +361,11 @@ class EventKernel:
                     buckets.setdefault(arrival, []).append(recipient)
             if dropped:
                 self._metrics.record_drops(sender, tick, dropped)
-            full = count
             for arrival in sorted(buckets):
                 members = buckets[arrival]
-                target: "NodeId | frozenset[NodeId] | None"
-                if len(members) == full:
-                    target = None
-                elif len(members) == 1:
-                    target = members[0]
-                else:
-                    target = frozenset(members)
+                target: "NodeId | frozenset[NodeId]" = (
+                    members[0] if len(members) == 1 else frozenset(members)
+                )
                 bucket = calendar.get(arrival)
                 if bucket is None:
                     bucket = calendar[arrival] = []
@@ -439,11 +440,16 @@ class EventKernel:
 
         policy = active_checkpoint_policy()
         n = self.n
-        recording = self._record_views or self._trace is not None
+        views = self._views if self._record_views else None
+        trace = self._trace
+        calendar = self._calendar
+        metrics = self._metrics
+        inboxes = self._inboxes
+        acted_at = self._acted_at
+        plane = self._batch
         # Early-exit bookkeeping: count halted nodes incrementally instead
         # of re-scanning every context each tick.
         halted = sum(1 for ctx in contexts if ctx.state.halted)
-        lockstep = self._lockstep
         order = list(self._delivery.activation_order(n))
         if sorted(order) != list(range(n)):
             raise ConfigurationError(
@@ -452,88 +458,61 @@ class EventKernel:
             )
 
         while halted < n:
-            if until_tick is not None and self.tick >= until_tick:
+            tick = self.tick
+            if until_tick is not None and tick >= until_tick:
                 return None
-            if self.tick >= self._max_rounds:
+            if tick >= self._max_rounds:
                 raise SimulationError(self._horizon_report())
-            plane = self._batch
-            batching = plane is not None and plane.used
-            if batching:
+            bucket = calendar.pop(tick, None)
+            if plane is not None and plane.used:
                 # Snapshot the consumer registry and reset the per-tick
                 # buffer *before* any delivery of this tick is filed.
                 plane.begin_tick()
-            if lockstep:
-                # Per-recipient buckets filled in emission order.  Senders
-                # act in ascending id order, so each bucket is born
-                # sender-sorted — no per-inbox sort, same as the
-                # pre-kernel fast path.
-                inboxes: list[list[Envelope]] = [[] for _ in range(n)]
-                if batching:
-                    for item in self._pending:
-                        if type(item) is Envelope:
-                            inboxes[item.recipient].append(item)
-                        else:
-                            plane.deliver(item, inboxes, None, self.tick)
-                else:
-                    for envelope in self._pending:
-                        inboxes[envelope.recipient].append(envelope)
-                self._pending = []
-            else:
-                inboxes = self._inboxes
-                metrics = self._metrics
-                tick = self.tick
-                if batching:
-                    for item in self._calendar.pop(tick, ()):
+                if bucket:
+                    count = sent = 0
+                    for item in bucket:
                         if type(item) is Envelope:
                             # Plain wrapped traffic to a consumer is
                             # captured into the group arrays at its
                             # calendar position, preserving the object
                             # path's arrival interleave under jitter.
-                            if plane.capture(item, metrics, tick):
-                                continue
-                            metrics.record_delivery(item, tick)
-                            inboxes[item.recipient].append(item)
+                            if not plane.capture(item):
+                                inboxes[item.recipient].append(item)
+                            count += 1
+                            sent += item.round_sent
                         else:
-                            plane.deliver(item, inboxes, metrics, tick)
+                            copies = plane.deliver(item, inboxes)
+                            count += copies
+                            sent += copies * item.round_sent
+                    metrics.record_deliveries(tick, count, sent)
+            elif bucket:
+                sent = 0
+                for envelope in bucket:
+                    inboxes[envelope.recipient].append(envelope)
+                    sent += envelope.round_sent
+                metrics.record_deliveries(tick, len(bucket), sent)
+
+            for node in order:
+                ctx = contexts[node]
+                state = ctx.state
+                inbox = inboxes[node]
+                if inbox:
+                    inboxes[node] = []
+                acted_at[node] = tick
+                if state.halted:
+                    continue
+                if views is not None:
+                    views[node].record_round(inbox)
+                if trace is None:
+                    protocols[node].on_activate(ctx, inbox)
                 else:
-                    for envelope in self._calendar.pop(tick, ()):
-                        metrics.record_delivery(envelope, tick)
-                        inboxes[envelope.recipient].append(envelope)
-
-            if not recording:
-                for node in order:
-                    ctx = contexts[node]
-                    state = ctx.state
-                    inbox = inboxes[node]
-                    if not lockstep:
-                        if inbox:
-                            inboxes[node] = []
-                        self._acted_at[node] = self.tick
-                    if state.halted:
-                        continue
+                    before = (state.decided, state.discovered, state.halted)
                     protocols[node].on_activate(ctx, inbox)
-                    if state.halted:
-                        halted += 1
-            else:
-                for node in order:
-                    ctx = contexts[node]
-                    inbox = inboxes[node]
-                    if not lockstep:
-                        if inbox:
-                            inboxes[node] = []
-                        self._acted_at[node] = self.tick
-                    if self._record_views and not ctx.state.halted:
-                        self._views[node].record_round(inbox)
-                    if ctx.state.halted:
-                        continue
-                    before = (ctx.state.decided, ctx.state.discovered, ctx.state.halted)
-                    protocols[node].on_activate(ctx, inbox)
-                    if self._trace is not None:
-                        self._record_transitions(node, before, ctx.state)
-                    if ctx.state.halted:
-                        halted += 1
+                    self._record_transitions(node, before, state)
+                if state.halted:
+                    halted += 1
 
-            self.tick += 1
+            self.tick = tick + 1
             if (
                 policy is not None
                 and halted < n
@@ -602,3 +581,26 @@ class EventKernel:
             self._trace.record_discover(self.tick, node, state.discovered)
         if state.halted and not was_halted:
             self._trace.record_halt(self.tick, node)
+
+
+def run_protocols(
+    protocols: Sequence[Protocol],
+    seed: int | str = 0,
+    max_rounds: int = 10_000,
+    record_views: bool = False,
+    record_trace: bool = False,
+    delivery: DeliveryModel | None = None,
+) -> RunResult:
+    """Convenience one-shot: build an :class:`EventKernel` and run it.
+
+    :param delivery: optional :class:`~repro.sim.network.DeliveryModel`;
+        ``None`` keeps the paper's synchronous rounds.
+    """
+    return EventKernel(
+        protocols,
+        seed=seed,
+        max_rounds=max_rounds,
+        record_views=record_views,
+        record_trace=record_trace,
+        delivery=delivery,
+    ).run()

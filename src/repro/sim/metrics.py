@@ -33,7 +33,7 @@ the dense-vs-compressed gap separately).
 The trade is time for memory: until the byte counters are read (or the
 Metrics object is released with its run result), the deferred list keeps
 every payload alive — the same order of retention as view recording,
-and freed wholesale with the :class:`~repro.sim.scheduler.RunResult`.
+and freed wholesale with the :class:`~repro.sim.kernel.RunResult`.
 Callers that accumulate many run results and want the bytes anyway can
 simply read ``bytes_total`` to settle and drop the references early.
 
@@ -41,7 +41,7 @@ Per-instance attribution
 ------------------------
 A run hosting multiplexed protocol instances
 (:mod:`repro.sim.multiplex`) carries one run-level ``Metrics`` (this
-module, owned by the scheduler, charging the mux-wrapped wire payloads)
+module, owned by the kernel, charging the mux-wrapped wire payloads)
 plus one ``Metrics`` *per instance*, fed by the mux with the instances'
 inner envelopes at their dense-equivalent sizes.  :meth:`Metrics.merge`
 folds per-instance instruments across nodes — or across shards of a
@@ -131,16 +131,14 @@ class Metrics:
             self.rounds_used = round_sent + 1
 
     def record_delivery(self, envelope: Envelope, tick: Round) -> None:
-        """Account one delivered envelope under a non-lock-step model.
+        """Account one delivered envelope at its arrival ``tick``.
 
-        Recorded by the event kernel at arrival time.  ``delivery lag``
-        is the arrival's excess over the lock-step bound (``arrival -
-        sent - 1``): positive for late bounded-delay arrivals, ``-1``
-        for a same-tick rushed delivery, and identically zero under
-        synchronous rounds — so the kernel skips the call entirely on
-        the lock-step fast path and these counters stay at their
-        defaults, keeping lock-step metrics bit-for-bit comparable with
-        pre-kernel runs.
+        ``delivery lag`` is the arrival's excess over the one-round
+        bound (``arrival - sent - 1``): positive for late bounded-delay
+        arrivals, ``-1`` for a same-tick rushed delivery, and zero under
+        synchronous rounds.  The event kernel calls this for same-tick
+        (rushed) deliveries; calendar arrivals are charged per tick in
+        bulk through :meth:`record_deliveries`, to the same totals.
         """
         self.delivered_per_tick[tick] += 1
         self.delivery_lag_total += tick - envelope.round_sent - 1
@@ -161,24 +159,19 @@ class Metrics:
         self.dropped_per_round[envelope.round_sent] += 1
         self.dropped_per_sender[envelope.sender] += 1
 
-    def record_deliveries(
-        self, tick: Round, count: int, round_sent: "Round | None" = None
-    ) -> None:
+    def record_deliveries(self, tick: Round, count: int, sent_total: int) -> None:
         """Account ``count`` deliveries arriving at ``tick`` in bulk.
 
-        The batch plane's mirror of :meth:`record_delivery`.  A batch
-        record arrives as one bucket — every envelope it stands for
-        shares the same emission round and arrival tick, so its lag
-        (``tick - round_sent - 1``) is charged ``count`` times in one
-        addition.  ``round_sent=None`` (the legacy next-tick call shape)
-        skips the lag accumulator, which is exact only when arrival is
-        one tick after emission; the batch plane always passes the
-        record's emission round now that jittered calendars batch too.
+        The bulk mirror of :meth:`record_delivery`: the kernel charges a
+        whole calendar bucket at once, ``sent_total`` being the sum of
+        the delivered envelopes' emission rounds (a batch record counts
+        its emission round once per copy).  The lag accumulator gains
+        ``sum(tick - round_sent - 1)`` — bit-for-bit the per-envelope
+        totals, at O(1) per tick.
         """
         self.delivered_per_tick[tick] += count
         self.deliveries_total += count
-        if round_sent is not None:
-            self.delivery_lag_total += (tick - round_sent - 1) * count
+        self.delivery_lag_total += (tick - 1) * count - sent_total
 
     def record_drops(self, sender: NodeId, round_sent: Round, count: int) -> None:
         """Account ``count`` dropped envelopes from one batch send."""

@@ -47,7 +47,7 @@ groups instead of per-node envelope lists, and protocols that declare
 envelopes materialised on demand).  Jittered, lossy and partitioned
 calendars batch too: records carry per-arrival-tick buckets and an
 emission-``rounds[]`` column (see :mod:`repro.sim.batch`), so the plane
-engages for every deterministic delivery model, not just lock-step.
+engages for every deterministic delivery model.
 ``engine="object"`` forces the original per-envelope path — the
 reference oracle — and the columnar engine *falls back to it
 automatically* whenever the run cannot batch (views/trace recording on,
@@ -65,7 +65,7 @@ adversaries).
 Composition
 -----------
 :class:`InstanceMux` is itself a :class:`~repro.sim.node.Protocol`: it
-can run directly under the scheduler, be embedded in a larger protocol
+can run directly under the kernel, be embedded in a larger protocol
 through :class:`~repro.sim.compose.PhaseHost`, and host instances that
 themselves embed sub-protocols via ``PhaseHost`` — the three layerings
 the key-distribution and FD→BA stacks use.  Because it only speaks the
@@ -85,11 +85,11 @@ from ..errors import ConfigurationError
 from ..types import NodeId
 from .batch import ChannelBatch
 from .compose import PhaseOutcome
+from .kernel import RunResult
 from .message import Envelope, mux_unwrap, mux_wrap
 from .metrics import Metrics
 from .node import NodeContext, Protocol
 from .rng import instance_rng
-from .scheduler import RunResult
 
 #: Key under which a completed mux publishes its per-instance outcomes in
 #: ``NodeState.outputs``.
@@ -293,7 +293,7 @@ def _batch_envelopes(group: ChannelBatch, me: NodeId) -> list[Envelope]:
     Inner payloads in the group's arrival order, each stamped with its
     entry's emission round from the ``rounds[]`` column — exactly the
     per-instance inbox the object path's demux would have built, under
-    lock-step and jittered calendars alike.
+    synchronous and jittered calendars alike.
     """
     envelopes = []
     senders = group.senders
@@ -313,73 +313,6 @@ def _batch_envelopes(group: ChannelBatch, me: NodeId) -> list[Envelope]:
             continue
         envelopes.append(Envelope(sender, me, payloads[i], rounds[i]))
     return envelopes
-
-
-def _merge_by_sender(batched: list[Envelope], plain: list[Envelope]) -> list[Envelope]:
-    """Merge two sender-ascending envelope lists, batched first on ties.
-
-    A sender ties with itself only if it sent both batch records and
-    plain wrapped envelopes in one tick (a hand-crafted adversary); the
-    batch-first rule is the documented order for that corner.
-    """
-    if not batched:
-        return plain
-    if not plain:
-        return batched
-    merged = []
-    i = 0
-    total = len(batched)
-    for env in plain:
-        sender = env.sender
-        while i < total and batched[i].sender <= sender:
-            merged.append(batched[i])
-            i += 1
-        merged.append(env)
-    merged.extend(batched[i:])
-    return merged
-
-
-def _merge_plain_into_batch(
-    group: ChannelBatch, plain: list[Envelope]
-) -> ChannelBatch:
-    """Splice demuxed plain envelopes into a copy of a batch group.
-
-    Used when a batch-ingesting instance also received plain wrapped
-    traffic (object-engine peers, Byzantine forgeries): the protocol
-    still sees one sender-ascending columnar view.  The copy gets a
-    fresh ``shared`` scratch (entry indices shift), which is fine — the
-    plain-traffic case is the rare one.
-    """
-    merged = ChannelBatch()
-    senders = merged.senders
-    payloads = merged.payloads
-    targets = merged.targets
-    rounds = merged.rounds
-    group_senders = group.senders
-    group_payloads = group.payloads
-    group_targets = group.targets
-    group_rounds = group.rounds
-    i = 0
-    total = len(group_senders)
-    for env in plain:
-        sender = env.sender
-        while i < total and group_senders[i] <= sender:
-            senders.append(group_senders[i])
-            payloads.append(group_payloads[i])
-            targets.append(group_targets[i])
-            rounds.append(group_rounds[i])
-            i += 1
-        senders.append(env.sender)
-        payloads.append(env.payload)
-        targets.append(env.recipient)
-        rounds.append(env.round_sent)
-    while i < total:
-        senders.append(group_senders[i])
-        payloads.append(group_payloads[i])
-        targets.append(group_targets[i])
-        rounds.append(group_rounds[i])
-        i += 1
-    return merged
 
 
 class _MuxSlot:
@@ -520,17 +453,7 @@ class InstanceMux(Protocol):
     def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
         """Demultiplex, step every live instance, halt when all are done."""
         slots = self._slots
-        per_instance: dict[int, list[Envelope]] = {}
         channel = self._channel
-        for env in inbox:
-            parsed = mux_unwrap(env.payload, channel)
-            if parsed is None:
-                continue
-            instance, inner = parsed
-            if instance in slots:
-                per_instance.setdefault(instance, []).append(
-                    Envelope(env.sender, env.recipient, inner, env.round_sent)
-                )
         columnar = self._columnar
         groups = ctx.batch_groups(channel) if columnar else None
         if groups is None:
@@ -538,6 +461,16 @@ class InstanceMux(Protocol):
             # whose run has no batch plane this tick.  A columnar mux
             # still *sends* through the plane when registered, hence the
             # engine-dependent proxy class.
+            per_instance: dict[int, list[Envelope]] = {}
+            for env in inbox:
+                parsed = mux_unwrap(env.payload, channel)
+                if parsed is None:
+                    continue
+                instance, inner = parsed
+                if instance in slots:
+                    per_instance.setdefault(instance, []).append(
+                        Envelope(env.sender, env.recipient, inner, env.round_sent)
+                    )
             proxy_cls = _ColumnarInstanceContext if columnar else _MuxInstanceContext
             for instance in sorted(slots):
                 slot = slots[instance]
@@ -550,6 +483,9 @@ class InstanceMux(Protocol):
                 if outcome.halted:
                     self._live -= 1
         else:
+            # Columnar path: the batch plane captured every parseable
+            # wrapped envelope addressed to this consumer into the
+            # groups, so the plain inbox holds no traffic for the mux.
             me = ctx.node
             for instance in sorted(slots):
                 slot = slots[instance]
@@ -558,26 +494,13 @@ class InstanceMux(Protocol):
                     continue
                 proxy = _ColumnarInstanceContext(ctx, channel, outcome, slot.rng)
                 group = groups.get(instance)
-                plain = per_instance.get(instance)
                 protocol = slot.protocol
-                if group is not None and getattr(
-                    protocol, "supports_batch_inbox", False
-                ):
-                    protocol.on_round_batch(
-                        proxy,  # type: ignore[arg-type]
-                        group
-                        if plain is None
-                        else _merge_plain_into_batch(group, plain),
-                    )
-                elif group is not None:
-                    protocol.on_round(
-                        proxy,  # type: ignore[arg-type]
-                        _merge_by_sender(
-                            _batch_envelopes(group, me), plain or []
-                        ),
-                    )
+                if group is None:
+                    protocol.on_round(proxy, [])  # type: ignore[arg-type]
+                elif getattr(protocol, "supports_batch_inbox", False):
+                    protocol.on_round_batch(proxy, group)  # type: ignore[arg-type]
                 else:
-                    protocol.on_round(proxy, plain or [])  # type: ignore[arg-type]
+                    protocol.on_round(proxy, _batch_envelopes(group, me))  # type: ignore[arg-type]
                 outcome.metrics.settle()
                 if outcome.halted:
                     self._live -= 1

@@ -9,7 +9,7 @@ and fixes the per-tick node activation order.  Three models ship:
 * :class:`SynchronousRounds` — the paper's model (N1 with the delivery
   bound *known* and equal to one round, lock-step activations).  This is
   the default and is required to be bit-for-bit identical to the
-  pre-kernel ``Runner``: same decisions, same round counts, same
+  pre-kernel runner: same decisions, same round counts, same
   per-kind message/byte counters, across the whole benchmark grid
   (``tests/sim/test_kernel.py`` property-tests the equivalence under
   random Byzantine behaviour).
@@ -67,14 +67,10 @@ class DeliveryModel:
 
     Subclasses override :meth:`arrival_tick` (when does this envelope
     arrive?) and optionally :meth:`activation_order` (in what order do
-    nodes act within a tick?).  A model declaring ``lockstep = True``
-    promises "every envelope arrives exactly one tick after emission, in
-    id-ascending activation order" — the kernel then takes its batched
-    fast path, which is what keeps the synchronous special case as fast
-    as the pre-kernel runner.
+    nodes act within a tick?).  The kernel runs every model, the
+    synchronous one included, on the same calendar path.
 
     :ivar name: stable spec name (see :func:`make_delivery`).
-    :ivar lockstep: whether the kernel may use the lock-step fast path.
     :ivar batch_capable: whether the model can price a whole batch send
         in one :meth:`batch_arrivals` call — a *deterministic calendar*
         whose per-recipient latency/drop decisions depend only on the
@@ -94,7 +90,6 @@ class DeliveryModel:
     """
 
     name = "abstract"
-    lockstep = False
     batch_capable = False
     sweep_undelivered = False
 
@@ -106,8 +101,7 @@ class DeliveryModel:
     ) -> "list[Round | None]":
         """Per-recipient arrival ticks for one batch send (``None`` = drop).
 
-        Consulted (on the general event path only) for ``batch_capable``
-        models instead of per-envelope :meth:`arrival_tick` calls: one
+        Consulted for ``batch_capable`` models instead of per-envelope :meth:`arrival_tick` calls: one
         entry per recipient, aligned with ``recipients``.  The default is
         reliable next-tick delivery.  Models with jitter or loss must
         draw their per-recipient latency/drop decisions *in recipient
@@ -141,14 +135,13 @@ class DeliveryModel:
 class SynchronousRounds(DeliveryModel):
     """The paper's lock-step rounds: every message arrives next tick.
 
-    N1 with the bound known and equal to one round.  ``lockstep = True``
-    lets the kernel run its batched fast path — behaviourally identical
-    to the general event path (property-tested via a ``BoundedDelay(1)``
-    cross-check), just without per-envelope calendar bookkeeping.
+    N1 with the bound known and equal to one round.  Runs on the
+    kernel's calendar path like every model, with the same metrics as
+    ``BoundedDelay(1)`` (property-tested); the one visible difference is
+    the trace, whose sends carry no ``@t`` arrival stamp under this model.
     """
 
     name = "sync"
-    lockstep = True
     batch_capable = True
 
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round:
@@ -221,9 +214,9 @@ class BoundedDelay(_LinkStreamDelivery):
     protocol's inbox for tick ``r`` mixes emissions from several earlier
     ticks — exactly the skew experiment E12 probes.
 
-    ``BoundedDelay(1)`` is semantically synchronous rounds but runs on
-    the kernel's general event path, which makes it the reference point
-    for proving the event machinery preserves lock-step semantics.
+    ``BoundedDelay(1)`` is semantically synchronous rounds, which makes
+    it the cross-check that the per-link plumbing preserves lock-step
+    semantics.
     """
 
     name = "bounded"

@@ -130,21 +130,15 @@ class NodeContext:
             sending after halt — all of these are implementation bugs, not
             expressible Byzantine behaviours.
         """
+        node = self.node
+        runner = self._runner
         if self.state.halted:
-            raise ProtocolViolationError(
-                f"node {self.node} sent a message after halting"
-            )
-        if to == self.node:
-            raise ProtocolViolationError(f"node {self.node} sent to itself")
-        if not 0 <= to < self.n:
-            raise ProtocolViolationError(
-                f"node {self.node} sent to invalid recipient {to}"
-            )
-        self._runner.enqueue(
-            Envelope(
-                sender=self.node, recipient=to, payload=payload, round_sent=self.round
-            ),
-        )
+            raise ProtocolViolationError(f"node {node} sent a message after halting")
+        if to == node:
+            raise ProtocolViolationError(f"node {node} sent to itself")
+        if not 0 <= to < runner.n:
+            raise ProtocolViolationError(f"node {node} sent to invalid recipient {to}")
+        runner.enqueue(Envelope(node, to, payload, runner.tick))
 
     def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
         """Send ``payload`` to every node in ``to`` (default: all others).

@@ -5,8 +5,8 @@ master seed plus the emission sequence — :mod:`repro.sim.kernel`) makes
 run state *snapshot-able*: everything the next tick depends on lives in
 one object graph rooted at the :class:`~repro.sim.kernel.EventKernel` —
 
-* the calendar queue and lock-step pending list (in-flight envelopes and
-  batch records, in emission order),
+* the calendar queue (in-flight envelopes and batch records, in
+  emission order),
 * the tick counter and per-node ``_acted_at`` causality marks,
 * every node's protocol object and :class:`~repro.sim.node.NodeState`,
 * every rng stream position: node streams (``NodeContext.rng``),
@@ -52,7 +52,10 @@ every entry point.
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -65,7 +68,9 @@ if TYPE_CHECKING:
 
 #: Snapshot format version.  Bumped whenever the kernel's pickled shape
 #: changes incompatibly; :func:`restore_kernel` refuses other versions.
-SNAPSHOT_VERSION = 1
+#: Version 2: the kernel keeps every in-flight delivery in its calendar
+#: (version-1 kernels could hold them in a separate lock-step list).
+SNAPSHOT_VERSION = 2
 
 #: Conventional checkpoint-file suffix (documentation only — loading
 #: validates content, never the name).
@@ -223,10 +228,25 @@ def retune_protocols(protocols: list, **params: Any) -> dict[str, int]:
 
 
 def save_snapshot(snapshot: KernelSnapshot, path: "str | Path") -> Path:
-    """Write a snapshot to ``path`` (parents created); returns the path."""
+    """Write a snapshot to ``path`` (parents created); returns the path.
+
+    Atomic: the bytes go to a temporary file in the same directory,
+    synced to disk, which then replaces ``path`` in one rename — a crash
+    or error mid-write leaves any earlier file at ``path`` intact.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
+    data = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return target
 
 
@@ -288,15 +308,20 @@ class CheckpointPolicy:
         self.every = every
         self.directory = Path(directory)
         self._next_run = 0
-        self._labels: dict[int, int] = {}
+        # Keyed on the kernel object itself, weakly: an id() key can be
+        # reused by a later kernel once the first is freed, which would
+        # hand it the earlier run's prefix and overwrite that run's files.
+        self._labels: "weakref.WeakKeyDictionary[EventKernel, int]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.written: list[Path] = []
 
     def checkpoint(self, kernel: "EventKernel") -> None:
         """Snapshot ``kernel`` now (kernel's tick is a multiple of
         ``every``); file name carries the run index and the tick."""
-        label = self._labels.get(id(kernel))
+        label = self._labels.get(kernel)
         if label is None:
-            label = self._labels[id(kernel)] = self._next_run
+            label = self._labels[kernel] = self._next_run
             self._next_run += 1
         path = self.directory / f"run{label}-tick{kernel.tick:06d}{SNAPSHOT_SUFFIX}"
         self.written.append(save_snapshot(kernel.snapshot(), path))

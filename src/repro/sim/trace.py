@@ -28,10 +28,10 @@ class TraceEvent:
     :ivar detail: kind-specific payload: for sends and drops,
         ``(recipient, payload kind tag)``; for decisions, the value; for
         discoveries, the reason; for halts, ``None``.
-    :ivar tick: delivery timestamp for sends under a non-lock-step
-        :class:`~repro.sim.network.DeliveryModel`: the kernel tick at
-        which the envelope *arrives* (``None`` under lock-step delivery,
-        where arrival is always ``round + 1`` and needs no annotation).
+    :ivar tick: delivery timestamp for sends: the kernel tick at which
+        the envelope *arrives* (``None`` under
+        :class:`~repro.sim.network.SynchronousRounds`, where arrival is
+        always ``round + 1`` and needs no annotation).
     """
 
     round: Round
@@ -83,9 +83,10 @@ class Trace:
     ) -> None:
         """Log one outgoing envelope (recipient + payload kind).
 
-        :param arrival_tick: the delivery tick assigned by a non-lock-step
-            delivery model; lock-step callers omit it (arrival is always
-            the next tick) and the event carries no timestamp annotation.
+        :param arrival_tick: the delivery tick the delivery model
+            assigned; the kernel passes ``None`` under synchronous rounds
+            (arrival is always the next tick), and the event then carries
+            no timestamp annotation.
         """
         self._append(
             TraceEvent(

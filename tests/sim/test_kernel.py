@@ -3,14 +3,14 @@
 The acceptance property of the kernel refactor, in the mould of the
 dense-vs-succinct engine equivalence tests: running any protocol set
 under :class:`~repro.sim.network.SynchronousRounds` on the event kernel
-is *bit-for-bit identical* to the pre-kernel ``Runner`` — decisions,
+is *bit-for-bit identical* to the pre-kernel runner — decisions,
 rounds, per-round/per-sender/per-kind message counters, byte counters,
 trace events and recorded views — including under random Byzantine
 behaviour.  ``tests/sim/_reference_runner.py`` keeps the old loop
 verbatim as the oracle.  A second pass runs the same property through
-``BoundedDelay(1)`` — semantically lock-step but on the kernel's general
-calendar path — proving the event machinery itself preserves the
-synchronous semantics, not just the fast path.
+``BoundedDelay(1)`` — semantically lock-step, but pricing every
+envelope through the per-link machinery — and requires its full
+``Metrics`` to equal the synchronous run's, delivery counters included.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from repro.faults import (
 from repro.sim import (
     BoundedDelay,
     DeliveryModel,
+    Envelope,
     EventKernel,
+    Metrics,
     Protocol,
-    Runner,
     SynchronousRounds,
     run_protocols,
 )
@@ -108,12 +109,12 @@ class TestSyncKernelEqualsReferenceRunner:
     def test_bit_for_bit_under_random_byzantine_behaviour(
         self, spec, seed, recording
     ):
-        """The headline property: kernel + SynchronousRounds == old Runner."""
+        """The headline property: kernel + SynchronousRounds == old runner."""
         reference = ReferenceRunner(
             build_protocols(spec), seed=seed,
             record_views=recording, record_trace=recording,
         ).run()
-        kernel = Runner(
+        kernel = EventKernel(
             build_protocols(spec), seed=seed,
             record_views=recording, record_trace=recording,
         ).run()
@@ -124,20 +125,27 @@ class TestSyncKernelEqualsReferenceRunner:
     @given(spec=byzantine_specs(), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_general_event_path_preserves_lockstep_semantics(self, spec, seed):
-        """BoundedDelay(1) — lock-step timing on the calendar path — must
-        reproduce the reference bit-for-bit too: the determinism contract
-        re-proved at the event level, not just on the fast path."""
+        """BoundedDelay(1) — lock-step timing through the per-link
+        pricing — must reproduce the reference bit-for-bit too, and a
+        SynchronousRounds run's full Metrics must equal its own."""
         reference = ReferenceRunner(build_protocols(spec), seed=seed).run()
         general = run_protocols(
             build_protocols(spec), seed=seed, delivery=BoundedDelay(1)
         )
+        sync = run_protocols(
+            build_protocols(spec), seed=seed, delivery=SynchronousRounds()
+        )
         assert observables(general) == observables(reference)
-        # The general path *does* do per-delivery accounting; lag is zero.
-        # (Deliveries can trail sends: envelopes emitted in the final
-        # tick are never delivered — the run ends when all nodes halt,
-        # exactly as in the reference loop.)
+        # Every delivery is accounted, and lag is zero.  (Deliveries can
+        # trail sends: envelopes emitted in the final tick are never
+        # delivered — the run ends when all nodes halt, exactly as in
+        # the reference loop.)
         assert general.metrics.mean_delivery_lag == 0.0
         assert 0 < general.metrics.deliveries_total <= general.metrics.messages_total
+        # Settled, the two instruments are equal field by field:
+        # deliveries_total, delivered_per_tick and delivery_lag_total
+        # included.
+        assert sync.metrics.settle() == general.metrics.settle()
 
     def test_recorded_views_match_reference(self):
         spec = ((2, "silent"), (5, "mirror"))
@@ -148,6 +156,27 @@ class TestSyncKernelEqualsReferenceRunner:
         assert [v.rounds for v in kernel.views] == [
             v.rounds for v in reference.views
         ]
+
+
+class TestBulkDeliveryAccounting:
+    @given(
+        tick=st.integers(1, 50),
+        lags=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bucket_charge_equals_per_envelope_charges(self, tick, lags):
+        """One record_deliveries call per calendar bucket accounts the
+        same totals as one record_delivery call per envelope."""
+        envelopes = [
+            Envelope(0, 1, "x", max(0, tick - 1 - lag)) for lag in lags
+        ]
+        single, bulk = Metrics(), Metrics()
+        for envelope in envelopes:
+            single.record_delivery(envelope, tick)
+        bulk.record_deliveries(
+            tick, len(envelopes), sum(e.round_sent for e in envelopes)
+        )
+        assert bulk == single
 
 
 class TestEventLevelDeterminism:
@@ -325,17 +354,3 @@ class TestTraceTransitionsUnderSkew:
             e.tick is None for e in outcome.run.trace.of_kind("send")
         )
 
-
-class TestRunnerFacade:
-    def test_runner_is_an_event_kernel(self):
-        class Halter(Protocol):
-            def on_round(self, ctx, inbox):
-                ctx.halt()
-
-        runner = Runner([Halter(), Halter()])
-        assert isinstance(runner, EventKernel)
-        assert isinstance(runner.delivery, SynchronousRounds)
-        result = runner.run()
-        # One source of truth: the facade's round, the kernel's tick and
-        # the result's rounds_executed are the same counter.
-        assert runner.round == runner.tick == result.rounds_executed == 1

@@ -23,7 +23,7 @@ from repro.sim import (
 
 class TestMakeDelivery:
     def test_none_and_sync_are_lockstep(self):
-        assert make_delivery(None).lockstep
+        assert isinstance(make_delivery(None), SynchronousRounds)
         assert isinstance(make_delivery("sync"), SynchronousRounds)
 
     def test_bounded_default_and_explicit(self):

@@ -12,6 +12,7 @@ plus the warm-started fork path (`retune` of tunable parameters).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -21,6 +22,7 @@ from repro.crypto import simulated
 from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.fd.timeout import TimeoutFDProtocol
 from repro.harness import (
+    resolve_workload,
     run_fd_scenario,
     sweep,
     sweep_prefix_shared,
@@ -31,7 +33,6 @@ from repro.sim import (
     EventKernel,
     KernelSnapshot,
     Protocol,
-    Runner,
     capture_kernel,
     clear_checkpoint_policy,
     load_snapshot,
@@ -200,16 +201,16 @@ class TestEngineCoverage:
     @pytest.mark.parametrize("engine", [COLUMNAR_ENGINE, OBJECT_ENGINE])
     def test_mux_run_resumes_bit_for_bit(self, engine):
         def build():
-            return Runner(
+            return EventKernel(
                 om_mux_protocols(5, 1, engine),
                 seed="snap-mux",
                 delivery=make_delivery("loss:0.2:2"),
             )
 
         straight = build().run()
-        runner = build()
-        assert runner.run(until_tick=2) is None
-        snap = capture_kernel(runner)
+        kernel = build()
+        assert kernel.run(until_tick=2) is None
+        snap = capture_kernel(kernel)
         resumed = restore_kernel(snap).run()
         assert observables(resumed) == observables(straight)
 
@@ -397,39 +398,39 @@ class _StuckProtocol(Protocol):
 
 class TestSnapshotMachinery:
     def test_until_tick_stops_before_processing(self):
-        runner = Runner([_HookedCounter() for _ in range(3)], seed=0)
-        assert runner.run(until_tick=2) is None
-        assert runner.tick == 2
-        assert all(p.count == 2 for p in runner._protocols)
+        kernel = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
+        assert kernel.run(until_tick=2) is None
+        assert kernel.tick == 2
+        assert all(p.count == 2 for p in kernel._protocols)
 
     def test_until_tick_already_reached_returns_immediately(self):
-        runner = Runner([_HookedCounter() for _ in range(3)], seed=0)
-        runner.run(until_tick=2)
-        assert runner.run(until_tick=1) is None
-        assert runner.tick == 2
+        kernel = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
+        kernel.run(until_tick=2)
+        assert kernel.run(until_tick=1) is None
+        assert kernel.tick == 2
 
     def test_hooked_protocols_round_trip(self):
-        runner = Runner([_HookedCounter() for _ in range(3)], seed=0)
-        runner.run(until_tick=2)
-        snap = runner.snapshot()
+        kernel = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
+        kernel.run(until_tick=2)
+        snap = kernel.snapshot()
         # The live kernel keeps its real protocols after capture.
-        assert all(isinstance(p, _HookedCounter) for p in runner.protocols)
+        assert all(isinstance(p, _HookedCounter) for p in kernel.protocols)
         resumed = EventKernel.resume(snap)
         assert all(isinstance(p, _HookedCounter) for p in resumed.protocols)
         assert all(p.count == 2 for p in resumed.protocols)
         result = resumed.run()
-        assert result.rounds_executed == runner.run().rounds_executed
+        assert result.rounds_executed == kernel.run().rounds_executed
 
     def test_unpicklable_protocol_fails_fast(self):
-        runner = Runner([_StuckProtocol() for _ in range(2)], seed=0)
+        kernel = EventKernel([_StuckProtocol() for _ in range(2)], seed=0)
         with pytest.raises(ConfigurationError, match="snapshot_state"):
-            runner.run(until_tick=0)
-            capture_kernel(runner)
+            kernel.run(until_tick=0)
+            capture_kernel(kernel)
 
     def test_version_mismatch_refused(self):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
-        runner.run(until_tick=1)
-        snap = dataclasses.replace(runner.snapshot(), version=999)
+        kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
+        kernel.run(until_tick=1)
+        snap = dataclasses.replace(kernel.snapshot(), version=999)
         with pytest.raises(ConfigurationError, match="version"):
             restore_kernel(snap)
 
@@ -438,17 +439,17 @@ class TestSnapshotMachinery:
             restore_kernel({"tick": 3})
 
     def test_size_bytes(self):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
-        runner.run(until_tick=1)
-        snap = runner.snapshot()
+        kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
+        kernel.run(until_tick=1)
+        snap = kernel.snapshot()
         assert snap.size_bytes == len(snap.payload) > 0
 
 
 class TestSnapshotFiles:
     def test_round_trip(self, tmp_path):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
-        runner.run(until_tick=1)
-        path = save_snapshot(runner.snapshot(), tmp_path / "deep" / "a.ckpt")
+        kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
+        kernel.run(until_tick=1)
+        path = save_snapshot(kernel.snapshot(), tmp_path / "deep" / "a.ckpt")
         loaded = load_snapshot(path)
         assert loaded.tick == 1
         assert EventKernel.resume(loaded).run().rounds_executed == 3
@@ -469,10 +470,39 @@ class TestSnapshotFiles:
         with pytest.raises(ConfigurationError, match="does not contain"):
             load_snapshot(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
+        kernel.run(until_tick=1)
+        path = save_snapshot(kernel.snapshot(), tmp_path / "a.ckpt")
+        kernel.run(until_tick=2)
+        later = kernel.snapshot()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.sim.snapshot.os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_snapshot(later, path)
+        monkeypatch.undo()
+        # The earlier checkpoint is intact and loadable, and the
+        # half-written temporary file is gone.
+        assert load_snapshot(path).tick == 1
+        assert EventKernel.resume(load_snapshot(path)).run().rounds_executed == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+    def test_save_overwrites_atomically(self, tmp_path):
+        kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
+        kernel.run(until_tick=1)
+        path = save_snapshot(kernel.snapshot(), tmp_path / "a.ckpt")
+        kernel.run(until_tick=2)
+        save_snapshot(kernel.snapshot(), path)
+        assert load_snapshot(path).tick == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
     def test_version_mismatch(self, tmp_path):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
-        runner.run(until_tick=1)
-        stale = dataclasses.replace(runner.snapshot(), version=0)
+        kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
+        kernel.run(until_tick=1)
+        stale = dataclasses.replace(kernel.snapshot(), version=0)
         path = tmp_path / "stale.ckpt"
         path.write_bytes(pickle.dumps(stale))
         with pytest.raises(ConfigurationError, match="version"):
@@ -495,6 +525,40 @@ class TestCheckpointPolicy:
             resumed = restore_kernel(snap).run()
             assert resumed.metrics.messages_total == straight.run.metrics.messages_total
             assert resumed.metrics.drops_total == straight.run.metrics.drops_total
+
+    def test_freed_kernels_never_share_a_label(self, tmp_path, monkeypatch):
+        """A freed kernel's id() is often reused by the next kernel; the
+        label map must not hand that kernel the earlier run's prefix.
+        Reuse depends on the allocator, so the worst case — every kernel
+        at one address — is forced by shadowing ``id`` in the module."""
+        monkeypatch.setattr("repro.sim.snapshot.id", lambda obj: 1, raising=False)
+        runs = 20
+        policy = set_checkpoint_policy(1, tmp_path)
+        try:
+            for seed in range(runs):
+                kernel = EventKernel([_HookedCounter() for _ in range(2)], seed=seed)
+                kernel.run()
+                del kernel
+                gc.collect()
+        finally:
+            clear_checkpoint_policy()
+        assert len(policy.written) == 2 * runs
+        assert len(set(policy.written)) == len(policy.written)
+        assert len({path.name.split("-")[0] for path in policy.written}) == runs
+
+    def test_workload_runs_get_one_label_each(self, tmp_path):
+        cell = resolve_workload("e13-timeout-fd")
+        runs = 20
+        policy = set_checkpoint_policy(3, tmp_path)
+        try:
+            for seed in range(runs):
+                cell(n=7, t=2, delivery="loss:0.2", protocol="timeout", seed=seed)
+                gc.collect()
+        finally:
+            clear_checkpoint_policy()
+        assert policy.written
+        assert len(set(policy.written)) == len(policy.written)
+        assert len({path.name.split("-")[0] for path in policy.written}) == runs
 
     def test_non_positive_interval_refused(self, tmp_path):
         with pytest.raises(ConfigurationError, match="positive"):
